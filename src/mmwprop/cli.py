@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .datasets import (
     PATH_LOSS_COLUMNS,
     Environment,
     load_path_loss_csv,
+    load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
     validate_dataset,
@@ -64,6 +66,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # a ValueError becomes "invalid float value: ..."
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in its messages
 
 
 def _round4(value):
@@ -191,10 +203,7 @@ def _cmd_scatter_pattern(args) -> str:
 
 
 def _cmd_backscatter(args) -> str:
-    with open(args.input, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        rows = [(float(r["observation_angle_deg"]), float(r["relative_power_db"]))
-                for r in reader]
+    rows = load_pattern_csv(args.input)
     peak_db = max(p for _, p in rows) if rows else 0.0
     pattern = [ScatterPatternPoint(a, p - peak_db) for a, p in rows]
     peak = max(pattern, key=lambda p: p.relative_power_db) if pattern else None
@@ -354,92 +363,93 @@ def build_parser() -> _Parser:
     subs.required = True
 
     sub = subs.add_parser("fresnel", help="Fresnel reflection coefficient and loss")
-    sub.add_argument("--eps", type=float, required=True, help="relative permittivity")
-    sub.add_argument("--angle", type=float, required=True, help="incidence angle, deg from normal")
+    sub.add_argument("--eps", type=_finite_float, required=True, help="relative permittivity")
+    sub.add_argument("--angle", type=_finite_float, required=True,
+                     help="incidence angle, deg from normal")
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_fresnel)
 
     sub = subs.add_parser("estimate-eps", help="MMSE permittivity from reflection CSV")
     sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float, help="keep only samples at this frequency, Hz")
+    sub.add_argument("--freq", type=_finite_float, help="keep only samples at this frequency, Hz")
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_estimate_eps)
 
     sub = subs.add_parser("fit-linear", help="linear |gamma| vs angle fit from reflection CSV")
     sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float)
+    sub.add_argument("--freq", type=_finite_float)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_fit_linear)
 
     sub = subs.add_parser("scatter-pattern", help="dual-lobe scattering + specular pattern")
-    sub.add_argument("--eps", type=float, required=True)
-    sub.add_argument("--incident-angle", type=float, required=True)
-    sub.add_argument("--hpbw", type=float, default=8.0, help="antenna HPBW, deg")
-    sub.add_argument("--s-coeff", type=float, default=DsParameters.s_coeff)
-    sub.add_argument("--lambda-mix", type=float, default=DsParameters.lambda_mix)
+    sub.add_argument("--eps", type=_finite_float, required=True)
+    sub.add_argument("--incident-angle", type=_finite_float, required=True)
+    sub.add_argument("--hpbw", type=_finite_float, default=8.0, help="antenna HPBW, deg")
+    sub.add_argument("--s-coeff", type=_finite_float, default=DsParameters.s_coeff)
+    sub.add_argument("--lambda-mix", type=_finite_float, default=DsParameters.lambda_mix)
     sub.add_argument("--alpha-r", type=int, default=DsParameters.alpha_r)
     sub.add_argument("--alpha-i", type=int, default=DsParameters.alpha_i)
-    sub.add_argument("--tx-distance", type=float, default=1.5)
-    sub.add_argument("--rx-distance", type=float, default=1.5)
-    sub.add_argument("--step", type=float, default=10.0, help="sweep step, deg")
-    sub.add_argument("--diffuse-sr", type=float, default=DEFAULT_DIFFUSE_SOLID_ANGLE_SR)
-    sub.add_argument("--spread-deg", type=float, default=DEFAULT_SPECULAR_SPREAD_DEG)
+    sub.add_argument("--tx-distance", type=_finite_float, default=1.5)
+    sub.add_argument("--rx-distance", type=_finite_float, default=1.5)
+    sub.add_argument("--step", type=_finite_float, default=10.0, help="sweep step, deg")
+    sub.add_argument("--diffuse-sr", type=_finite_float, default=DEFAULT_DIFFUSE_SOLID_ANGLE_SR)
+    sub.add_argument("--spread-deg", type=_finite_float, default=DEFAULT_SPECULAR_SPREAD_DEG)
     _add_output_options(sub, formats=True)
     sub.set_defaults(handler=_cmd_scatter_pattern)
 
     sub = subs.add_parser("backscatter", help="margin and smoothness from a pattern CSV")
     sub.add_argument("--input", required=True)
-    sub.add_argument("--incident-angle", type=float, required=True)
+    sub.add_argument("--incident-angle", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_backscatter)
 
     sub = subs.add_parser("partition", help="free-space-corrected partition loss")
-    sub.add_argument("--tx-power-dbm", type=float, required=True)
-    sub.add_argument("--rx-power-dbm", type=float, required=True)
-    sub.add_argument("--distance-m", type=float, required=True)
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--gains-dbi", type=float, nargs=2, metavar=("TX", "RX"),
+    sub.add_argument("--tx-power-dbm", type=_finite_float, required=True)
+    sub.add_argument("--rx-power-dbm", type=_finite_float, required=True)
+    sub.add_argument("--distance-m", type=_finite_float, required=True)
+    sub.add_argument("--freq", type=_finite_float, required=True)
+    sub.add_argument("--gains-dbi", type=_finite_float, nargs=2, metavar=("TX", "RX"),
                      help="antenna gains to subtract from the received power")
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_partition)
 
     sub = subs.add_parser("xpd", help="cross-polarization discrimination")
-    sub.add_argument("--co-db", type=float, required=True)
-    sub.add_argument("--cross-db", type=float, required=True)
+    sub.add_argument("--co-db", type=_finite_float, required=True)
+    sub.add_argument("--cross-db", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_xpd)
 
     sub = subs.add_parser("depol-margin", help="cross-pol partition loss minus XPD")
-    sub.add_argument("--cross-mean-db", type=float)
-    sub.add_argument("--vh-db", type=float)
-    sub.add_argument("--hv-db", type=float)
-    sub.add_argument("--xpd-db", type=float, required=True)
+    sub.add_argument("--cross-mean-db", type=_finite_float)
+    sub.add_argument("--vh-db", type=_finite_float)
+    sub.add_argument("--hv-db", type=_finite_float)
+    sub.add_argument("--xpd-db", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_depol_margin)
 
     sub = subs.add_parser("budget", help="reflected/transmitted/absorbed split")
-    sub.add_argument("--refl-db", type=float, required=True)
-    sub.add_argument("--part-db", type=float, required=True)
+    sub.add_argument("--refl-db", type=_finite_float, required=True)
+    sub.add_argument("--part-db", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_budget)
 
     sub = subs.add_parser("fspl", help="Friis free-space path loss")
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--distance-m", type=float, required=True)
+    sub.add_argument("--freq", type=_finite_float, required=True)
+    sub.add_argument("--distance-m", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_fspl)
 
     sub = subs.add_parser("ci-eval", help="close-in model mean path loss")
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--ple", type=float, required=True)
-    sub.add_argument("--sigma-db", type=float, default=0.0)
-    sub.add_argument("--distance-m", type=float, required=True)
+    sub.add_argument("--freq", type=_finite_float, required=True)
+    sub.add_argument("--ple", type=_finite_float, required=True)
+    sub.add_argument("--sigma-db", type=_finite_float, default=0.0)
+    sub.add_argument("--distance-m", type=_finite_float, required=True)
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_ci_eval)
 
     sub = subs.add_parser("fit-ci", help="fit the close-in model to a path-loss CSV")
     sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float, required=True)
+    sub.add_argument("--freq", type=_finite_float, required=True)
     sub.add_argument("--env", choices=("LOS", "NLOS", "NLOS_BEST"))
     _add_output_options(sub)
     sub.set_defaults(handler=_cmd_fit_ci)
@@ -463,8 +473,9 @@ def build_parser() -> _Parser:
 
 
 def _error_name(exc: BaseException) -> str:
-    name = type(exc).__name__
-    return name.removesuffix("Error")
+    if isinstance(exc, csv.Error):  # its class is plainly named "Error"
+        return "Csv"
+    return type(exc).__name__.removesuffix("Error")
 
 
 def dispatch(argv) -> CommandResult:
@@ -475,14 +486,14 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(1, "", str(err) + "\n")
     try:
         payload = args.handler(args)
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            return CommandResult(0, "", "")
     except _UsageError as err:
         return CommandResult(1, "", str(err) + "\n")
-    except (MmwPropError, FileNotFoundError) as err:
+    except (MmwPropError, OSError, UnicodeDecodeError, csv.Error) as err:
         return CommandResult(2, "", f"{_error_name(err)}: {err}\n")
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        return CommandResult(0, "", "")
     return CommandResult(0, payload, "")
 
 

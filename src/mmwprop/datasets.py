@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -360,6 +362,7 @@ PATH_LOSS_COLUMNS = (
     "tx_pol", "rx_pol", "path_loss_db",
 )
 REFLECTION_COLUMNS = ("freq_hz", "incident_angle_deg", "reflection_loss_db")
+PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 
 _PATH_LOSS_NUMERIC = ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
                       "rx_az_deg", "rx_el_deg", "path_loss_db")
@@ -444,6 +447,14 @@ def load_reflection_csv(path) -> list[ReflectionSample]:
     return samples
 
 
+def load_pattern_csv(path) -> list[tuple[float, float]]:
+    """(observation angle, power dB) pairs from a scatter-pattern CSV."""
+    handle, reader = _open_reader(path, PATTERN_COLUMNS)
+    with handle:
+        return [tuple(_parse_float(row, row_index, c) for c in PATTERN_COLUMNS)
+                for row_index, row in enumerate(reader, start=1)]
+
+
 _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",
                          "rx_az_deg", "rx_el_deg", "tx_pol", "rx_pol")
 
@@ -463,10 +474,7 @@ def validate_dataset(samples: Sequence[PathLossSample]) -> ValidationReport:
     Duplicates are distinct (tx, rx, pointing angles, polarization) keys seen
     more than once; they are reported, not rejected.
     """
-    seen: dict[tuple, int] = {}
-    for s in samples:
-        key = tuple(getattr(s, f) for f in _DUPLICATE_KEY_FIELDS)
-        seen[key] = seen.get(key, 0) + 1
+    seen = Counter(map(operator.attrgetter(*_DUPLICATE_KEY_FIELDS), samples))
     duplicates = tuple(k for k, count in seen.items() if count > 1)
     distances = [s.distance_m for s in samples]
     return ValidationReport(

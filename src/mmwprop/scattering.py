@@ -30,6 +30,9 @@ spreading over the TX/RX distances, so the peak-normalized pattern is
 invariant to scaling or swapping the distances. The diffuse coupling solid
 angle is the stand-in for the receive-side collection constant that ties a
 per-steradian scattered density to the dimensionless specular power ratio.
+
+numpy is imported inside the functions that build arrays, so importing this
+module (and with it ``mmwprop`` and the CLI) does not load numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     InvariantViolationError,
@@ -141,6 +142,7 @@ def sweep_geometries(
 
 def ds_lobe_gain(psi_deg, alpha: int):
     """Single-lobe gain ((1 + cos(psi)) / 2) ** alpha; 1 on axis, 0 anti-axis."""
+    import numpy as np
     if alpha < 1:
         raise InvariantViolationError("alpha must be >= 1")
     return ((1.0 + np.cos(np.radians(psi_deg))) / 2.0) ** alpha
@@ -154,6 +156,7 @@ def ds_pattern_value(polar_deg, azimuth_deg, incident_angle_deg: float,
     source side of the incidence plane (the source lies at azimuth 0).
     Accepts scalars or numpy arrays.
     """
+    import numpy as np
     theta_i = math.radians(incident_angle_deg)
     polar = np.radians(polar_deg)
     azimuth = np.radians(azimuth_deg)
@@ -169,6 +172,7 @@ def ds_pattern_value(polar_deg, azimuth_deg, incident_angle_deg: float,
 def ds_pattern_inplane(observation_angle_deg, incident_angle_deg: float,
                        params: DsParameters):
     """Dual-lobe value at a signed in-plane observation angle."""
+    import numpy as np
     t = np.radians(observation_angle_deg)
     theta_i = math.radians(incident_angle_deg)
     forward = ((1.0 + np.cos(t - theta_i)) / 2.0) ** params.alpha_r
@@ -184,6 +188,7 @@ def ds_normalization(params: DsParameters, incident_angle_deg: float,
     periodic interval) rule in azimuth. 64 x 128 keeps the relative error
     below 1e-6 against doubled resolution for lobe exponents in normal use.
     """
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(polar_points)
     polar = (nodes + 1.0) * (math.pi / 4.0)          # map [-1, 1] -> [0, pi/2]
     polar_w = weights * (math.pi / 4.0)
@@ -198,6 +203,7 @@ def ds_normalization(params: DsParameters, incident_angle_deg: float,
 
 
 def _specular_gain(offset_deg, antenna_hpbw_deg: float, spread_deg: float):
+    import numpy as np
     width = math.hypot(antenna_hpbw_deg, spread_deg)
     return np.exp(-4.0 * _LN2 * (np.asarray(offset_deg) / width) ** 2)
 
@@ -216,6 +222,7 @@ def predict_pattern(
     The sweep must share one incidence geometry and contain the specular
     angle, where the pattern peaks.
     """
+    import numpy as np
     if params is None:
         params = DsParameters()
     if len(geometries) < 2:

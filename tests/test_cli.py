@@ -72,6 +72,56 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.stderr.startswith("InvariantViolation")
 
+    def test_input_directory_is_data_error(self, tmp_path):
+        result = dispatch(["validate", "--input", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("IsADirectory: ")
+        assert result.stdout == ""
+
+    def test_output_into_missing_directory_is_data_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        result = dispatch(["fspl", "--freq", "28e9", "--distance-m", "1",
+                           "--output", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("FileNotFound: ")
+        assert result.stdout == ""
+
+    def test_non_utf8_input_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("freq_hz,incident_angle_deg,reflection_loss_db\n"
+                         "142e9,30,7.53 \u00b0\n".encode("latin-1"))
+        result = dispatch(["estimate-eps", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("UnicodeDecode: ")
+
+    def test_malformed_csv_is_data_error(self, tmp_path):
+        path = tmp_path / "huge-field.csv"
+        path.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n"
+                        + '"' + "x" * 200_000 + "\n", encoding="utf-8")
+        result = dispatch(["estimate-eps", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("Csv: field larger than field limit")
+
+
+class TestFiniteFloatArguments:
+    @pytest.mark.parametrize("argv", [
+        ["fspl", "--freq", "28e9", "--distance-m", "inf"],
+        ["fspl", "--freq", "nan", "--distance-m", "1"],
+        ["ci-eval", "--freq", "1e400", "--ple", "2", "--distance-m", "10"],
+        ["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-80",
+         "--distance-m", "3", "--freq", "142e9", "--gains-dbi", "27", "inf"],
+    ])
+    def test_non_finite_value_is_usage_error(self, argv):
+        result = dispatch(argv)
+        assert result.exit_code == 1
+        assert "not a finite number" in result.stderr
+        assert result.stdout == ""
+
+    def test_non_numeric_message_unchanged(self):
+        result = dispatch(["fspl", "--freq", "abc", "--distance-m", "1"])
+        assert result.exit_code == 1
+        assert "argument --freq: invalid float value: 'abc'" in result.stderr
+
 
 class TestFresnel:
     def test_predicted_drywall_loss(self):
@@ -136,6 +186,25 @@ class TestScatterCommands:
         # CSV carries 4 decimals, so allow a small quantization difference
         assert summary["backscatter_margin_db"] == pytest.approx(
             direct["backscatter_margin_db"], abs=0.01)
+
+    def test_backscatter_bad_numeric_cell(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n"
+                        "-10,-20\n30,abc\n", encoding="utf-8")
+        result = dispatch(["backscatter", "--input", str(path),
+                           "--incident-angle", "30"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            "BadNumeric: data row 2, column 'relative_power_db':")
+
+    def test_backscatter_missing_column(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,power_db\n-10,-20\n30,0\n",
+                        encoding="utf-8")
+        result = dispatch(["backscatter", "--input", str(path),
+                           "--incident-angle", "30"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("MissingColumn: ")
 
     def test_specular_angle_injected_into_sweep(self):
         payload = run_ok(["scatter-pattern", "--eps", "6.4",
@@ -272,3 +341,55 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert completed.returncode == 0
     assert json.loads(completed.stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
+
+
+_COLD_START = """
+import json, sys
+import mmwprop, mmwprop.cli
+code = mmwprop.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def _run_fresh(argv):
+    """Run the CLI in a new interpreter; pytest itself has numpy loaded."""
+    completed = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                               capture_output=True, text=True)
+    status = json.loads(completed.stderr.splitlines()[-1])
+    return completed.stdout, status
+
+
+def test_scalar_commands_do_not_load_numpy():
+    stdout, status = _run_fresh(["fspl", "--freq", "28e9", "--distance-m", "1"])
+    assert status == {"code": 0, "numpy": False}
+    assert json.loads(stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
+
+
+# scatter-pattern --eps 6.4 --incident-angle 30 --hpbw 8 --format csv
+_PATTERN_GOLDEN = """\
+observation_angle_deg,relative_power_db
+-80.0000,-38.4280
+-70.0000,-36.5182
+-60.0000,-34.7081
+-50.0000,-33.0100
+-40.0000,-31.4517
+-30.0000,-30.0628
+-20.0000,-28.8674
+-10.0000,-27.8826
+0.0000,-27.1192
+10.0000,-25.7331
+20.0000,-8.2459
+30.0000,0.0000
+40.0000,-8.2478
+50.0000,-25.9419
+60.0000,-27.5371
+70.0000,-28.5104
+80.0000,-29.7779
+"""
+
+
+def test_scatter_pattern_loads_numpy_and_gives_golden_output():
+    stdout, status = _run_fresh(["scatter-pattern", "--eps", "6.4", "--incident-angle",
+                                 "30", "--hpbw", "8", "--format", "csv"])
+    assert status == {"code": 0, "numpy": True}
+    assert stdout == _PATTERN_GOLDEN

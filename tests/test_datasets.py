@@ -8,6 +8,7 @@ from mmwprop.datasets import (
     Polarization,
     ReflectionSample,
     load_path_loss_csv,
+    load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
     save_path_loss_csv,
@@ -228,6 +229,22 @@ class TestReflectionCsv:
         assert excinfo.value.row == 2
 
 
+class TestPatternCsv:
+    def test_rows_in_file_order(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n"
+                        "-10,-25.5\n30.0,0\n", encoding="utf-8")
+        assert load_pattern_csv(path) == [(-10.0, -25.5), (30.0, 0.0)]
+
+    def test_non_finite_cell_is_bad_numeric(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n"
+                        "-10,-25.5\n30,inf\n", encoding="utf-8")
+        with pytest.raises(BadNumericError) as excinfo:
+            load_pattern_csv(path)
+        assert (excinfo.value.row, excinfo.value.column) == (2, "relative_power_db")
+
+
 class TestValidateDataset:
     def test_empty(self):
         report = validate_dataset([])
@@ -250,6 +267,15 @@ class TestValidateDataset:
         samples = [sample(), sample(), sample(rx_az_deg=90.0)]
         report = validate_dataset(samples)
         assert len(report.duplicate_keys) == 1
+
+    def test_duplicate_key_values_and_order(self):
+        samples = [sample(tx_pol="H", rx_az_deg=30.0), sample(tx_pol="H", rx_az_deg=30.0),
+                   sample(), sample(), sample(rx_id="rx2")]
+        report = validate_dataset(samples)
+        assert report.duplicate_keys == (
+            ("tx1", "rx1", 0.0, 0.0, 30.0, 0.0, Polarization.H, Polarization.V),
+            ("tx1", "rx1", 0.0, 0.0, 0.0, 0.0, Polarization.V, Polarization.V),
+        )
 
     def test_input_not_mutated(self):
         samples = [sample(), sample()]
