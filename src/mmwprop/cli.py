@@ -22,9 +22,10 @@ from .datasets import (
     load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
+    same_freq,
     validate_dataset,
 )
-from .errors import MmwPropError
+from .errors import InvariantViolationError, MmwPropError
 from .partition import (
     LinkPowerMeasurement,
     depolarization_margin,
@@ -136,7 +137,7 @@ def _cmd_fresnel(args) -> str:
 def _filter_freq(samples, freq_hz):
     if freq_hz is None:
         return samples
-    return [s for s in samples if s.freq_hz == freq_hz]
+    return [s for s in samples if same_freq(s.freq_hz, freq_hz)]
 
 
 def _cmd_estimate_eps(args) -> str:
@@ -161,6 +162,8 @@ def _cmd_fit_linear(args) -> str:
 
 
 def _sweep_angles(incident_angle_deg: float, step_deg: float) -> list[float]:
+    if not step_deg > 0:
+        raise InvariantViolationError("sweep step must be > 0")
     count = int(round(2 * ARC_LIMIT_DEG / step_deg))
     angles = [-ARC_LIMIT_DEG + i * step_deg for i in range(count + 1)]
     angles = [a for a in angles if abs(a) <= ARC_LIMIT_DEG + 1e-9]

@@ -24,7 +24,13 @@ from .errors import (
     BadNumericError,
     InvariantViolationError,
     MissingColumnError,
+    MissingEntryError,
 )
+
+
+def same_freq(a: float, b: float) -> bool:
+    """The one frequency-match rule: equal to within a relative 1e-9."""
+    return math.isclose(a, b, rel_tol=1e-9)
 
 
 class Environment(str, Enum):
@@ -169,9 +175,9 @@ class Material:
 
     def eps_r_at(self, freq_hz: float) -> float:
         for f, eps in self.permittivity:
-            if math.isclose(f, freq_hz, rel_tol=1e-9):
+            if same_freq(f, freq_hz):
                 return eps
-        raise KeyError(f"no permittivity for {self.name} at {freq_hz} Hz")
+        raise MissingEntryError(f"no permittivity for {self.name} at {freq_hz} Hz")
 
 
 @dataclass(frozen=True)
@@ -278,9 +284,9 @@ class PaperDataset:
 
     def sounder(self, freq_hz: float) -> SounderBand:
         for s in self.sounders:
-            if math.isclose(s.band.center_frequency_hz, freq_hz, rel_tol=1e-9):
+            if same_freq(s.band.center_frequency_hz, freq_hz):
                 return s
-        raise KeyError(f"no sounder data at {freq_hz} Hz")
+        raise MissingEntryError(f"no sounder data at {freq_hz} Hz")
 
     def xpd_db(self, freq_hz: float) -> float:
         return self.sounder(freq_hz).xpd_db
@@ -291,14 +297,13 @@ class PaperDataset:
     def reflection_samples(self, freq_hz: float | None = None) -> tuple[ReflectionSample, ...]:
         if freq_hz is None:
             return self.reflection
-        return tuple(s for s in self.reflection
-                     if math.isclose(s.freq_hz, freq_hz, rel_tol=1e-9))
+        return tuple(s for s in self.reflection if same_freq(s.freq_hz, freq_hz))
 
     def reflection_loss_db(self, freq_hz: float, incident_angle_deg: float) -> float:
         for s in self.reflection_samples(freq_hz):
             if math.isclose(s.incident_angle_deg, incident_angle_deg, abs_tol=1e-9):
                 return s.reflection_loss_db
-        raise KeyError(f"no reflection entry at {freq_hz} Hz, {incident_angle_deg} deg")
+        raise MissingEntryError(f"no reflection entry at {freq_hz} Hz, {incident_angle_deg} deg")
 
     def partition_records(self, material_name: str | None = None,
                           freq_hz: float | None = None) -> tuple[PartitionRecord, ...]:
@@ -306,7 +311,7 @@ class PaperDataset:
         if material_name is not None:
             out = tuple(r for r in out if r.material_name == material_name)
         if freq_hz is not None:
-            out = tuple(r for r in out if math.isclose(r.freq_hz, freq_hz, rel_tol=1e-9))
+            out = tuple(r for r in out if same_freq(r.freq_hz, freq_hz))
         return out
 
     def partition_record(self, material_name: str, freq_hz: float,
@@ -315,11 +320,11 @@ class PaperDataset:
             tx_pol = Polarization(tx_pol)
             rx_pol = Polarization(rx_pol)
         except ValueError as err:
-            raise KeyError(str(err)) from None
+            raise MissingEntryError(str(err)) from None
         for r in self.partition_records(material_name, freq_hz):
             if r.tx_pol is tx_pol and r.rx_pol is rx_pol:
                 return r
-        raise KeyError(
+        raise MissingEntryError(
             f"no partition entry for {material_name} {tx_pol.value}-{rx_pol.value} at {freq_hz} Hz")
 
     def partition_mean_db(self, material_name: str, freq_hz: float, tx_pol, rx_pol) -> float:
@@ -329,17 +334,17 @@ class PaperDataset:
         try:
             environment = Environment(environment)
         except ValueError as err:
-            raise KeyError(str(err)) from None
+            raise MissingEntryError(str(err)) from None
         for r in self.ci_fits:
-            if r.environment is environment and math.isclose(r.freq_hz, freq_hz, rel_tol=1e-9):
+            if r.environment is environment and same_freq(r.freq_hz, freq_hz):
                 return r
-        raise KeyError(f"no CI fit for {environment.value} at {freq_hz} Hz")
+        raise MissingEntryError(f"no CI fit for {environment.value} at {freq_hz} Hz")
 
     def material(self, name: str) -> Material:
         for m in self.materials:
             if m.name == name:
                 return m
-        raise KeyError(f"unknown material {name!r}")
+        raise MissingEntryError(f"unknown material {name!r}")
 
     def permittivity(self, freq_hz: float) -> float:
         """Drywall relative permittivity estimated for the given band."""

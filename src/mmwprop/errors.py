@@ -47,6 +47,16 @@ class MixedFrequenciesError(MmwPropError):
     """Samples from different frequencies were passed to a single-band fit."""
 
 
+class EstimateAtBoundError(MmwPropError):
+    """A search estimate sits at an end of its search range, not at a minimum."""
+
+
+class MissingEntryError(MmwPropError, KeyError):
+    """A reference-table lookup has no entry for the requested key."""
+
+    __str__ = Exception.__str__  # KeyError would quote the message
+
+
 class DegenerateAnglesError(MmwPropError):
     """All incidence angles coincide, so a slope cannot be fitted."""
 

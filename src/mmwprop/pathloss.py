@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datasets import Environment, PathLossSample
+from .datasets import Environment, PathLossSample, same_freq
 from .errors import (
     AllAtReferenceDistanceError,
     BelowReferenceDistanceError,
@@ -66,7 +66,7 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
     """Fit the single-parameter CI model through the 1 m anchor."""
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 path-loss samples")
-    if any(not math.isclose(s.freq_hz, freq_hz, rel_tol=1e-9) for s in samples):
+    if any(not same_freq(s.freq_hz, freq_hz) for s in samples):
         raise MixedFrequenciesError(f"samples do not all sit at {freq_hz} Hz")
     if any(s.distance_m < REFERENCE_DISTANCE_M for s in samples):
         raise BelowReferenceDistanceError(

@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datasets import ReflectionSample
+from .datasets import ReflectionSample, same_freq
 from .errors import (
     DegenerateAnglesError,
+    EstimateAtBoundError,
     InvariantViolationError,
     MixedFrequenciesError,
     PerfectTransmissionError,
@@ -66,19 +67,40 @@ def measured_magnitude(sample: ReflectionSample) -> float:
 
 def _single_frequency(samples: Sequence[ReflectionSample]) -> float:
     freq = samples[0].freq_hz
-    if any(not math.isclose(s.freq_hz, freq, rel_tol=1e-9) for s in samples):
+    if any(not same_freq(s.freq_hz, freq) for s in samples):
         raise MixedFrequenciesError("samples span more than one frequency")
     return freq
 
 
+def _sample_terms(samples: Sequence[ReflectionSample],
+                  eps_r: float = EPS_SEARCH_RANGE[0]) -> list[tuple[float, float, float]]:
+    """(measured |gamma_perp|^2, cos(theta), sin^2(theta)) per sample, geometry checked."""
+    terms = []
+    for s in samples:
+        _check_geometry(s.incident_angle_deg, eps_r)
+        theta = math.radians(s.incident_angle_deg)
+        terms.append((10.0 ** (-s.reflection_loss_db / 10.0),
+                      math.cos(theta), math.sin(theta) ** 2))
+    return terms
+
+
+def _mse(eps_r, terms, sqrt=math.sqrt):
+    """Mean squared |gamma_perp|^2 error at eps_r, a float or a numpy array.
+
+    Arrays need ``sqrt=numpy.sqrt``. Samples are summed in order, so a float
+    eps_r gives the same bits as squaring fresnel_gamma_perp sample by sample.
+    """
+    total = 0.0
+    for measured, cos_t, sin2 in terms:
+        root = sqrt(eps_r - sin2)
+        gamma = (cos_t - root) / (cos_t + root)
+        total = total + (measured - gamma ** 2) ** 2
+    return total / len(terms)
+
+
 def mmse_objective(eps_r: float, samples: Sequence[ReflectionSample]) -> float:
     """Mean squared error between measured and modeled |gamma_perp|^2."""
-    total = 0.0
-    for s in samples:
-        measured = 10.0 ** (-s.reflection_loss_db / 10.0)
-        modeled = fresnel_gamma_perp(s.incident_angle_deg, eps_r) ** 2
-        total += (measured - modeled) ** 2
-    return total / len(samples)
+    return _mse(eps_r, _sample_terms(samples, eps_r))
 
 
 @dataclass(frozen=True)
@@ -109,23 +131,28 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     """MMSE estimate of eps_r from measured reflection losses at one frequency.
 
     Minimizes the squared error over |gamma_perp|^2. The search brackets the
-    minimum on a 300-point grid over eps_r in [1, 30], then refines it by
-    golden-section search to a 1e-4 tolerance.
+    minimum on a 300-point grid over eps_r in [1, 30], evaluated as one numpy
+    array, then refines it by golden-section search to a 1e-4 tolerance.
+    Raises EstimateAtBoundError when the minimum lies at either end of [1, 30].
     """
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 reflection samples")
     _single_frequency(samples)
+    terms = _sample_terms(samples)
 
+    import numpy as np
     lo, hi = EPS_SEARCH_RANGE
     step = (hi - lo) / (_SEARCH_GRID_POINTS - 1)
-    grid = [lo + i * step for i in range(_SEARCH_GRID_POINTS)]
-    values = [mmse_objective(e, samples) for e in grid]
-    best = values.index(min(values))
-    bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, _SEARCH_GRID_POINTS - 1)]
-    eps_r = _golden_section(lambda e: mmse_objective(e, samples),
-                            bracket_lo, bracket_hi, _EPS_TOLERANCE)
-    return PermittivityEstimate(eps_r=eps_r, mse=mmse_objective(eps_r, samples),
+    grid = lo + np.arange(_SEARCH_GRID_POINTS) * step
+    best = int(np.argmin(_mse(grid, terms, np.sqrt)))
+    bracket_lo = float(grid[max(best - 1, 0)])
+    bracket_hi = float(grid[min(best + 1, _SEARCH_GRID_POINTS - 1)])
+    eps_r = _golden_section(lambda e: _mse(e, terms), bracket_lo, bracket_hi, _EPS_TOLERANCE)
+    if min(eps_r - lo, hi - eps_r) <= _EPS_TOLERANCE:
+        raise EstimateAtBoundError(
+            f"eps_r estimate {eps_r:.4f} lies at the search bound; the minimum "
+            f"is outside [{lo:g}, {hi:g}] or indistinguishable from its end")
+    return PermittivityEstimate(eps_r=eps_r, mse=_mse(eps_r, terms),
                                 samples_used=len(samples))
 
 

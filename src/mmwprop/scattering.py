@@ -220,11 +220,18 @@ def predict_pattern(
     """Received power vs observation angle, normalized to a 0 dB peak.
 
     The sweep must share one incidence geometry and contain the specular
-    angle, where the pattern peaks.
+    angle, where the pattern peaks. antenna_hpbw_deg must lie in (0, 180);
+    the spread and the diffuse solid angle must be >= 0.
     """
     import numpy as np
     if params is None:
         params = DsParameters()
+    if not 0.0 < antenna_hpbw_deg < 180.0:
+        raise InvariantViolationError("antenna_hpbw_deg must lie in (0, 180)")
+    if not specular_spread_deg >= 0.0:
+        raise InvariantViolationError("specular_spread_deg must be >= 0")
+    if not diffuse_solid_angle_sr >= 0.0:
+        raise InvariantViolationError("diffuse_solid_angle_sr must be >= 0")
     if len(geometries) < 2:
         raise InvariantViolationError("sweep needs at least 2 observation angles")
     first = geometries[0]

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -150,6 +151,25 @@ class TestReflectionCommands:
         assert result.exit_code == 2
         assert result.stderr.startswith("TooFewSamples")
 
+    def test_estimate_eps_at_search_bound(self, tmp_path):
+        path = tmp_path / "lossless.csv"
+        path.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n"
+                        "28e9,10,0\n28e9,30,0\n", encoding="utf-8")
+        result = dispatch(["estimate-eps", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("EstimateAtBound: ")
+        assert result.stdout == ""
+
+    def test_freq_filter_uses_relative_match(self, tmp_path):
+        lines = ["freq_hz,incident_angle_deg,reflection_loss_db"]
+        lines += [f"28e9,{a},{reflection_loss_db(a, 4.7)!r}" for a in (10.0, 30.0, 60.0)]
+        lines += [f"73e9,{a},{reflection_loss_db(a, 5.2)!r}" for a in (10.0, 30.0)]
+        path = tmp_path / "two_bands.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        payload = run_ok(["estimate-eps", "--input", str(path), "--freq", "2.80000000001e10"])
+        assert payload["samples_used"] == 3
+        assert payload["eps_r"] == pytest.approx(4.7, abs=1e-3)
+
     def test_fit_linear(self, reflection_csv):
         payload = run_ok(["fit-linear", "--input", str(reflection_csv)])
         assert payload["slope"] > 0.0
@@ -205,6 +225,21 @@ class TestScatterCommands:
                            "--incident-angle", "30"])
         assert result.exit_code == 2
         assert result.stderr.startswith("MissingColumn: ")
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--diffuse-sr", "-1"], "diffuse_solid_angle_sr must be >= 0"),
+        (["--hpbw", "0", "--spread-deg", "0"], "antenna_hpbw_deg must lie in (0, 180)"),
+        (["--step", "0"], "sweep step must be > 0"),
+        (["--hpbw", "-5"], "antenna_hpbw_deg must lie in (0, 180)"),
+    ])
+    def test_out_of_range_argument_is_invariant_violation(self, extra, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                               *extra])
+        assert result.exit_code == 2
+        assert result.stderr == f"InvariantViolation: {message}\n"
+        assert result.stdout == ""
 
     def test_specular_angle_injected_into_sweep(self):
         payload = run_ok(["scatter-pattern", "--eps", "6.4",
@@ -363,6 +398,21 @@ def test_scalar_commands_do_not_load_numpy():
     stdout, status = _run_fresh(["fspl", "--freq", "28e9", "--distance-m", "1"])
     assert status == {"code": 0, "numpy": False}
     assert json.loads(stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
+
+
+def test_estimate_eps_loads_numpy_only_for_the_search(reflection_csv, tmp_path):
+    stdout, status = _run_fresh(["estimate-eps", "--input", str(reflection_csv)])
+    assert status == {"code": 0, "numpy": True}
+    assert json.loads(stdout)["eps_r"] == pytest.approx(5.2, abs=1e-3)
+
+    one = tmp_path / "one.csv"
+    one.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n142e9,30,7.53\n",
+                   encoding="utf-8")
+    _, status = _run_fresh(["estimate-eps", "--input", str(one)])
+    assert status == {"code": 2, "numpy": False}
+
+    _, status = _run_fresh(["fit-linear", "--input", str(reflection_csv)])
+    assert status == {"code": 0, "numpy": False}
 
 
 # scatter-pattern --eps 6.4 --incident-angle 30 --hpbw 8 --format csv

@@ -11,6 +11,7 @@ from mmwprop.datasets import (
     load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
+    same_freq,
     save_path_loss_csv,
     validate_dataset,
 )
@@ -18,6 +19,8 @@ from mmwprop.errors import (
     BadNumericError,
     InvariantViolationError,
     MissingColumnError,
+    MissingEntryError,
+    MmwPropError,
 )
 
 HEADER = ("freq_hz,tx_id,rx_id,distance_m,environment,tx_az_deg,tx_el_deg,"
@@ -112,6 +115,30 @@ class TestEmbeddedTables:
             data.reflection_loss_db(142e9, 45.0)
         with pytest.raises(KeyError):
             data.ci_fit(142e9, "LOS_BEST")
+
+    @pytest.mark.parametrize("lookup", [
+        lambda d: d.xpd_db(60e9),
+        lambda d: d.reflection_loss_db(142e9, 45.0),
+        lambda d: d.ci_fit(142e9, "LOS_BEST"),
+        lambda d: d.ci_fit(60e9, "LOS"),
+        lambda d: d.partition_record(DRYWALL, 142e9, "V", "X"),
+        lambda d: d.partition_record(DRYWALL, 60e9, "V", "V"),
+        lambda d: d.material("concrete"),
+        lambda d: d.material(CLEAR_GLASS).eps_r_at(142e9),
+    ])
+    def test_missing_entries_are_domain_errors(self, lookup):
+        with pytest.raises(MissingEntryError) as info:
+            lookup(paper_dataset())
+        assert isinstance(info.value, MmwPropError)
+        assert isinstance(info.value, KeyError)
+        assert str(info.value) == info.value.args[0]  # not quoted as KeyError does
+
+    def test_same_freq_rule(self):
+        assert same_freq(28e9, 2.80000000001e10)
+        assert same_freq(142e9, 142e9 * (1 + 5e-10))
+        assert not same_freq(142e9, 142e9 * (1 + 2e-9))
+        assert not same_freq(28e9, 73e9)
+        assert paper_dataset().sounder(2.80000000001e10).band.label == "28GHz"
 
 
 class TestTypeInvariants:

@@ -5,6 +5,7 @@ import pytest
 from mmwprop.datasets import ReflectionSample, paper_dataset
 from mmwprop.errors import (
     DegenerateAnglesError,
+    EstimateAtBoundError,
     InvariantViolationError,
     MixedFrequenciesError,
     PerfectTransmissionError,
@@ -127,6 +128,28 @@ class TestMmseEstimator:
         for freq, eps in published.items():
             estimate = estimate_permittivity_mmse(list(data.reflection_samples(freq)))
             assert abs(estimate.eps_r - eps) <= 1.0
+
+    def test_lossless_reflection_hits_the_upper_bound(self):
+        # 0 dB means |gamma|^2 = 1, which no finite eps_r reaches
+        samples = [ReflectionSample(28e9, a, 0.0) for a in (10.0, 30.0, 60.0, 80.0)]
+        with pytest.raises(EstimateAtBoundError, match="search bound"):
+            estimate_permittivity_mmse(samples)
+
+    def test_interior_minimum_near_one_is_returned(self):
+        samples = [ReflectionSample(28e9, a, 80.0) for a in (10.0, 30.0)]
+        estimate = estimate_permittivity_mmse(samples)
+        assert round(estimate.eps_r, 4) == 1.0003
+
+    def test_objective_rejects_permittivity_below_one(self):
+        with pytest.raises(InvariantViolationError, match="eps_r must be >= 1"):
+            mmse_objective(0.5, synthetic_samples(5.2))
+
+    def test_objective_matches_fresnel_per_sample(self):
+        samples = synthetic_samples(5.2)
+        expected = sum((10.0 ** (-s.reflection_loss_db / 10.0)
+                        - fresnel_gamma_perp(s.incident_angle_deg, 6.0) ** 2) ** 2
+                       for s in samples) / len(samples)
+        assert mmse_objective(6.0, samples) == expected
 
     def test_objective_beats_uniform_grid(self):
         # oracle cross-check: no point of a 1000-point grid does better

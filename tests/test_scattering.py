@@ -165,6 +165,23 @@ class TestPredictPattern:
         with pytest.raises(MissingSpecularAngleError):
             predict_pattern(geoms, 6.4, antenna_hpbw_deg=8.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(antenna_hpbw_deg=0.0),
+        dict(antenna_hpbw_deg=-5.0),
+        dict(antenna_hpbw_deg=180.0),
+        dict(specular_spread_deg=-1.0),
+        dict(diffuse_solid_angle_sr=-1.0),
+    ])
+    def test_pattern_argument_ranges(self, kwargs):
+        with pytest.raises(InvariantViolationError):
+            predict_pattern(sweep_geometries(30.0), 6.4, **kwargs)
+
+    def test_zero_spread_and_diffuse_are_valid(self):
+        pattern = predict_pattern(sweep_geometries(30.0), 6.4, antenna_hpbw_deg=8.0,
+                                  specular_spread_deg=0.0, diffuse_solid_angle_sr=0.0)
+        assert peak_angle(pattern) == 30.0
+        assert all(math.isfinite(p.relative_power_db) for p in pattern)
+
     def test_sweep_too_small(self):
         with pytest.raises(InvariantViolationError):
             predict_pattern(sweep_geometries(30.0, (30.0,)), 6.4)
