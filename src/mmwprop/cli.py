@@ -22,6 +22,7 @@ from .datasets import (
     load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
+    path_loss_row,
     same_freq,
     validate_dataset,
 )
@@ -51,6 +52,9 @@ from .scattering import (
     predict_pattern,
     sweep_geometries,
 )
+
+
+MIN_SWEEP_STEP_DEG = 0.01  # at most 16 001 grid angles over the 160 deg arc
 
 
 @dataclass
@@ -103,22 +107,6 @@ def _csv_payload(header, rows) -> str:
     return out.getvalue()
 
 
-def _sample_dict(s) -> dict:
-    return {
-        "freq_hz": s.freq_hz, "tx_id": s.tx_id, "rx_id": s.rx_id,
-        "distance_m": s.distance_m, "environment": s.environment.value,
-        "tx_az_deg": s.tx_az_deg, "tx_el_deg": s.tx_el_deg,
-        "rx_az_deg": s.rx_az_deg, "rx_el_deg": s.rx_el_deg,
-        "tx_pol": s.tx_pol.value, "rx_pol": s.rx_pol.value,
-        "path_loss_db": s.path_loss_db,
-    }
-
-
-def _sample_row(s) -> list:
-    d = _sample_dict(s)
-    return [d[c] for c in PATH_LOSS_COLUMNS]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers (each returns the payload text)
 # ---------------------------------------------------------------------------
@@ -164,6 +152,8 @@ def _cmd_fit_linear(args) -> str:
 def _sweep_angles(incident_angle_deg: float, step_deg: float) -> list[float]:
     if not step_deg > 0:
         raise InvariantViolationError("sweep step must be > 0")
+    if step_deg < MIN_SWEEP_STEP_DEG:
+        raise InvariantViolationError(f"sweep step must be >= {MIN_SWEEP_STEP_DEG} deg")
     count = int(round(2 * ARC_LIMIT_DEG / step_deg))
     angles = [-ARC_LIMIT_DEG + i * step_deg for i in range(count + 1)]
     angles = [a for a in angles if abs(a) <= ARC_LIMIT_DEG + 1e-9]
@@ -285,14 +275,20 @@ def _cmd_fit_ci(args) -> str:
 def _cmd_reduce_directional(args) -> str:
     reduction = reduce_directional(load_path_loss_csv(args.input))
     if args.format == "csv":
-        return _csv_payload(PATH_LOSS_COLUMNS,
-                            [_sample_row(s) for s in reduction.nlos_best])
+        return _csv_payload(PATH_LOSS_COLUMNS, map(path_loss_row, reduction.nlos_best))
     return _json_payload({
         "los_count": len(reduction.los),
         "nlos_count": len(reduction.nlos_all),
         "nlos_best_count": len(reduction.nlos_best),
-        "nlos_best": [_sample_dict(s) for s in reduction.nlos_best],
+        "nlos_best": [dict(zip(PATH_LOSS_COLUMNS, path_loss_row(s)))
+                      for s in reduction.nlos_best],
     })
+
+
+def _partition_table(data, material: str) -> list[dict]:
+    return [{"freq_hz": r.freq_hz, "tx_pol": r.tx_pol.value, "rx_pol": r.rx_pol.value,
+             "mean_db": r.mean_loss_db, "std_db": r.std_db}
+            for r in data.partition_records(material)]
 
 
 def _paper_tables_payload() -> dict:
@@ -314,16 +310,8 @@ def _paper_tables_payload() -> dict:
              "reflection_loss_db": s.reflection_loss_db}
             for s in data.reflection
         ],
-        "III": [
-            {"freq_hz": r.freq_hz, "tx_pol": r.tx_pol.value, "rx_pol": r.rx_pol.value,
-             "mean_db": r.mean_loss_db, "std_db": r.std_db}
-            for r in data.partition_records("clear_glass")
-        ],
-        "IV": [
-            {"freq_hz": r.freq_hz, "tx_pol": r.tx_pol.value, "rx_pol": r.rx_pol.value,
-             "mean_db": r.mean_loss_db, "std_db": r.std_db}
-            for r in data.partition_records("drywall")
-        ],
+        "III": _partition_table(data, "clear_glass"),
+        "IV": _partition_table(data, "drywall"),
         "V": [
             {"freq_hz": r.freq_hz, "environment": r.environment.value,
              "ple": r.ple, "sigma_db": r.sigma_db}

@@ -369,6 +369,15 @@ PATH_LOSS_COLUMNS = (
 REFLECTION_COLUMNS = ("freq_hz", "incident_angle_deg", "reflection_loss_db")
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 
+
+def path_loss_row(sample: PathLossSample) -> list:
+    """The sample's values in PATH_LOSS_COLUMNS order, enums as their text."""
+    return [sample.freq_hz, sample.tx_id, sample.rx_id, sample.distance_m,
+            sample.environment.value, sample.tx_az_deg, sample.tx_el_deg,
+            sample.rx_az_deg, sample.rx_el_deg, sample.tx_pol.value,
+            sample.rx_pol.value, sample.path_loss_db]
+
+
 _PATH_LOSS_NUMERIC = ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
                       "rx_az_deg", "rx_el_deg", "path_loss_db")
 
@@ -430,13 +439,7 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(PATH_LOSS_COLUMNS)
-        for s in samples:
-            writer.writerow([
-                repr(s.freq_hz), s.tx_id, s.rx_id, repr(s.distance_m),
-                s.environment.value, repr(s.tx_az_deg), repr(s.tx_el_deg),
-                repr(s.rx_az_deg), repr(s.rx_el_deg),
-                s.tx_pol.value, s.rx_pol.value, repr(s.path_loss_db),
-            ])
+        writer.writerows(map(path_loss_row, samples))
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:

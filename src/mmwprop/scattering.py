@@ -15,7 +15,8 @@ Each lobe has gain ((1 + cos(psi)) / 2) ** alpha where psi is the angle to
 the lobe axis; the forward lobe points along the specular direction, the
 back lobe along the backscatter direction, mixed by lambda_mix. The mixed
 pattern is normalized to integrate to 1 over the upper hemisphere, making
-the scattered term carry exactly S^2 * cos(theta_i) of the incident power.
+the scattered term carry exactly S^2 * cos(theta_i) of the incident power;
+the normalisation is an exact Legendre series (``_lobe_integral``).
 
 The received sample at an observation angle adds, in power (the wideband
 sounder averages out phase):
@@ -31,8 +32,9 @@ invariant to scaling or swapping the distances. The diffuse coupling solid
 angle is the stand-in for the receive-side collection constant that ties a
 per-steradian scattered density to the dimensionless specular power ratio.
 
-numpy is imported inside the functions that build arrays, so importing this
-module (and with it ``mmwprop`` and the CLI) does not load numpy.
+``predict_pattern`` adds the terms as logarithms (log-sum-exp), so no product
+over- or underflows and every level is finite. The model uses only ``math``;
+numpy is imported inside the array helpers ``ds_lobe_gain`` and ``ds_pattern_value``.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ DEFAULT_SPECULAR_SPREAD_DEG = 9.0
 BACKSCATTER_MARGIN_THRESHOLD_DB = 20.0
 SMOOTH_WINDOW_DEG = 10.0
 SMOOTH_WINDOW_THRESHOLD_DB = 10.0
+MAX_LOBE_EXPONENT = 10 ** 6  # the normalisation then costs a few ms
+MIN_HPBW_DEG = 1e-6  # keeps every specular level in dB within float range
 
 _LN2 = math.log(2.0)
+_DB_PER_LN = 10.0 / math.log(10.0)  # 10 log10(x) = _DB_PER_LN * ln(x)
 _ANGLE_TOL_DEG = 1e-6
 
 
@@ -92,8 +97,9 @@ class DsParameters:
             raise InvariantViolationError("lambda_mix must lie in [0, 1]")
         for name in ("alpha_r", "alpha_i"):
             value = getattr(self, name)
-            if value != int(value) or value < 1:
-                raise InvariantViolationError(f"{name} must be a positive integer")
+            if not 1 <= value <= MAX_LOBE_EXPONENT or value != int(value):
+                raise InvariantViolationError(
+                    f"{name} must be an integer in [1, {MAX_LOBE_EXPONENT}]")
             object.__setattr__(self, name, int(value))
 
 
@@ -169,43 +175,48 @@ def ds_pattern_value(polar_deg, azimuth_deg, incident_angle_deg: float,
     return params.lambda_mix * forward + (1.0 - params.lambda_mix) * backward
 
 
-def ds_pattern_inplane(observation_angle_deg, incident_angle_deg: float,
-                       params: DsParameters):
-    """Dual-lobe value at a signed in-plane observation angle."""
-    import numpy as np
-    t = np.radians(observation_angle_deg)
-    theta_i = math.radians(incident_angle_deg)
-    forward = ((1.0 + np.cos(t - theta_i)) / 2.0) ** params.alpha_r
-    backward = ((1.0 + np.cos(t + theta_i)) / 2.0) ** params.alpha_i
-    return params.lambda_mix * forward + (1.0 - params.lambda_mix) * backward
+def _lobe_integral(alpha: int, cos_axis: float) -> float:
+    """Exact upper-hemisphere integral of ((1 + cos psi) / 2) ** alpha.
 
-
-def ds_normalization(params: DsParameters, incident_angle_deg: float,
-                     polar_points: int = 64, azimuth_points: int = 128) -> float:
-    """Hemisphere integral of the dual-lobe pattern.
-
-    Gauss-Legendre in the polar coordinate times a uniform (trapezoid on a
-    periodic interval) rule in azimuth. 64 x 128 keeps the relative error
-    below 1e-6 against doubled resolution for lobe exponents in normal use.
+    Funk-Hecke on the Legendre series of the hemisphere indicator, with
+    c_0 = 1/2 and c_l = (P_{l-1}(0) - P_{l+1}(0)) / 2, gives
+    2 pi sum c_l mu_l P_l(cos_axis) with the lobe's Legendre moments
+    mu_0 = 2 / (alpha + 1), mu_l = mu_{l-1} (alpha - l + 1) / (alpha + l + 1).
+    mu_l is 0 above l = alpha and falls like exp(-l^2 / alpha), so about
+    6.4 sqrt(alpha) terms bring it below 1e-18 of the sum.
     """
-    import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(polar_points)
-    polar = (nodes + 1.0) * (math.pi / 4.0)          # map [-1, 1] -> [0, pi/2]
-    polar_w = weights * (math.pi / 4.0)
-    azimuth = np.linspace(0.0, 2.0 * math.pi, azimuth_points, endpoint=False)
-    azimuth_w = 2.0 * math.pi / azimuth_points
+    mu = 2.0 / (alpha + 1)
+    total = 0.5 * mu
+    p_prev, p = 1.0, cos_axis  # P_{l-1}(cos_axis), P_l(cos_axis)
+    z_prev, z = 1.0, 0.0       # P_{l-1}(0), P_l(0)
+    l = 1
+    while True:
+        mu *= (alpha - l + 1) / (alpha + l + 1)
+        if mu < 1e-18 * total:
+            return 2.0 * math.pi * total
+        z_next = -l * z_prev / (l + 1)
+        total += 0.5 * (z_prev - z_next) * mu * p
+        p_prev, p = p, ((2 * l + 1) * cos_axis * p - l * p_prev) / (l + 1)
+        z_prev, z = z, z_next
+        l += 1
 
-    grid_polar, grid_azimuth = np.meshgrid(polar, azimuth, indexing="ij")
-    values = ds_pattern_value(np.degrees(grid_polar), np.degrees(grid_azimuth),
-                              incident_angle_deg, params)
-    integrand = values * np.sin(grid_polar)
-    return float((integrand.sum(axis=1) * azimuth_w * polar_w).sum())
+
+def ds_normalization(params: DsParameters, incident_angle_deg: float) -> float:
+    """Exact hemisphere integral of the dual-lobe pattern; both axes are theta_i off normal."""
+    cos_axis = math.cos(math.radians(incident_angle_deg))
+    return (params.lambda_mix * _lobe_integral(params.alpha_r, cos_axis)
+            + (1.0 - params.lambda_mix) * _lobe_integral(params.alpha_i, cos_axis))
 
 
-def _specular_gain(offset_deg, antenna_hpbw_deg: float, spread_deg: float):
-    import numpy as np
-    width = math.hypot(antenna_hpbw_deg, spread_deg)
-    return np.exp(-4.0 * _LN2 * (np.asarray(offset_deg) / width) ** 2)
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_sum_exp(terms) -> float:
+    peak = max(terms)
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(sum(math.exp(t - peak) for t in terms))
 
 
 def predict_pattern(
@@ -220,49 +231,46 @@ def predict_pattern(
     """Received power vs observation angle, normalized to a 0 dB peak.
 
     The sweep must share one incidence geometry and contain the specular
-    angle, where the pattern peaks. antenna_hpbw_deg must lie in (0, 180);
-    the spread and the diffuse solid angle must be >= 0.
+    angle, where the pattern peaks. antenna_hpbw_deg must lie in
+    [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be >= 0.
     """
-    import numpy as np
     if params is None:
         params = DsParameters()
     if not 0.0 < antenna_hpbw_deg < 180.0:
         raise InvariantViolationError("antenna_hpbw_deg must lie in (0, 180)")
+    if antenna_hpbw_deg < MIN_HPBW_DEG:
+        raise InvariantViolationError(f"antenna_hpbw_deg must be >= {MIN_HPBW_DEG:g}")
     if not specular_spread_deg >= 0.0:
         raise InvariantViolationError("specular_spread_deg must be >= 0")
     if not diffuse_solid_angle_sr >= 0.0:
         raise InvariantViolationError("diffuse_solid_angle_sr must be >= 0")
     if len(geometries) < 2:
         raise InvariantViolationError("sweep needs at least 2 observation angles")
-    first = geometries[0]
-    for g in geometries[1:]:
-        if (g.incident_angle_deg != first.incident_angle_deg
-                or g.tx_distance_m != first.tx_distance_m
-                or g.rx_distance_m != first.rx_distance_m):
-            raise InvariantViolationError("sweep mixes incidence geometries")
-    theta_i = first.incident_angle_deg
-    angles = np.array([g.observation_angle_deg for g in geometries])
-    if not np.any(np.abs(angles - theta_i) <= _ANGLE_TOL_DEG):
+    if len({(g.incident_angle_deg, g.tx_distance_m, g.rx_distance_m) for g in geometries}) > 1:
+        raise InvariantViolationError("sweep mixes incidence geometries")
+    theta_i = geometries[0].incident_angle_deg
+    angles = [float(g.observation_angle_deg) for g in geometries]
+    if not any(abs(a - theta_i) <= _ANGLE_TOL_DEG for a in angles):
         raise MissingSpecularAngleError(
             f"sweep does not include the specular angle {theta_i} deg")
 
-    normalization = ds_normalization(params, theta_i)
-    gamma_sq = fresnel_gamma_perp(theta_i, eps_r) ** 2
-    cos_theta = math.cos(math.radians(theta_i))
-
-    diffuse = (params.s_coeff ** 2 * cos_theta * diffuse_solid_angle_sr
-               * ds_pattern_inplane(angles, theta_i, params) / normalization)
-    specular = gamma_sq * _specular_gain(angles - theta_i, antenna_hpbw_deg,
-                                         specular_spread_deg)
-    spreading = 1.0 / (first.tx_distance_m * first.rx_distance_m) ** 2
-    power = (diffuse + specular) * spreading
-    peak = power.max()
-    if peak <= 0.0:
-        raise PerfectTransmissionError(
-            "pattern carries no power (eps_r = 1 with s_coeff = 0)")
-    relative_db = 10.0 * np.log10(power / peak)
-    return [ScatterPatternPoint(float(a), min(0.0, float(p)))
-            for a, p in zip(angles, relative_db)]
+    # ln of each power term; their shared spherical spreading cancels, so it is left out
+    ti = math.radians(theta_i)
+    diffuse = (2.0 * _log(params.s_coeff) + math.log(math.cos(ti))
+               + _log(diffuse_solid_angle_sr) - math.log(ds_normalization(params, theta_i)))
+    forward = diffuse + _log(params.lambda_mix)
+    backward = diffuse + _log(1.0 - params.lambda_mix)
+    specular = 2.0 * _log(abs(fresnel_gamma_perp(theta_i, eps_r)))
+    width = math.hypot(antenna_hpbw_deg, specular_spread_deg)
+    log_power = [_log_sum_exp((
+        forward + params.alpha_r * _log((1.0 + math.cos(math.radians(a) - ti)) / 2.0),
+        backward + params.alpha_i * _log((1.0 + math.cos(math.radians(a) + ti)) / 2.0),
+        specular - 4.0 * _LN2 * ((a - theta_i) / width) ** 2,
+    )) for a in angles]
+    peak = max(log_power)
+    if peak == -math.inf:
+        raise PerfectTransmissionError("pattern carries no power (eps_r = 1 with s_coeff = 0)")
+    return [ScatterPatternPoint(a, (p - peak) * _DB_PER_LN) for a, p in zip(angles, log_power)]
 
 
 def backscatter_margin(pattern: Sequence[ScatterPatternPoint],

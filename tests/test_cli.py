@@ -241,6 +241,44 @@ class TestScatterCommands:
         assert result.stderr == f"InvariantViolation: {message}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--step", "1e-310"], "sweep step must be >= 0.01 deg"),
+        (["--step", "1e-6"], "sweep step must be >= 0.01 deg"),
+        (["--alpha-r", "99999999999999999999999"],
+         "alpha_r must be an integer in [1, 1000000]"),
+        (["--alpha-i", "1000001"], "alpha_i must be an integer in [1, 1000000]"),
+        (["--hpbw", "1e-200", "--spread-deg", "0", "--s-coeff", "0"],
+         "antenna_hpbw_deg must be >= 1e-06"),
+    ])
+    def test_work_and_range_bounds(self, extra, message):
+        result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                           *extra])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"InvariantViolation: {message}\n"
+
+    def test_bounds_themselves_are_accepted(self):
+        payload = run_ok(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                          "--alpha-r", "1000000", "--hpbw", "1e-6", "--spread-deg", "0"])
+        assert payload["peak_angle"] == 30.0
+        lines = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                          "--step", "0.01", "--format", "csv"]).stdout.splitlines()
+        assert len(lines) == 1 + 16001
+
+    def test_pattern_without_scattering_stays_finite(self):
+        # the specular term alone, 20 to 80 deg off its axis, once gave -inf
+        argv = ["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                "--hpbw", "1", "--s-coeff", "0", "--spread-deg", "0"]
+        result = dispatch(argv)
+        assert result.exit_code == 0, result.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON number {constant}")
+        payload = json.loads(result.stdout, parse_constant=reject)
+        levels = [p["relative_power_db"] for p in payload["pattern"]]
+        assert max(levels) == 0.0 and min(levels) < -1e4
+        csv_text = dispatch([*argv, "--format", "csv"]).stdout
+        assert "inf" not in csv_text and "nan" not in csv_text
+
     def test_specular_angle_injected_into_sweep(self):
         payload = run_ok(["scatter-pattern", "--eps", "6.4",
                           "--incident-angle", "33", "--hpbw", "8"])
@@ -438,8 +476,17 @@ observation_angle_deg,relative_power_db
 """
 
 
-def test_scatter_pattern_loads_numpy_and_gives_golden_output():
+def test_scatter_pattern_loads_no_numpy_and_gives_golden_output():
     stdout, status = _run_fresh(["scatter-pattern", "--eps", "6.4", "--incident-angle",
                                  "30", "--hpbw", "8", "--format", "csv"])
-    assert status == {"code": 0, "numpy": True}
+    assert status == {"code": 0, "numpy": False}
     assert stdout == _PATTERN_GOLDEN
+
+
+def test_backscatter_loads_no_numpy(tmp_path):
+    path = tmp_path / "pattern.csv"
+    path.write_text(_PATTERN_GOLDEN, encoding="utf-8")
+    stdout, status = _run_fresh(["backscatter", "--input", str(path),
+                                 "--incident-angle", "30"])
+    assert status == {"code": 0, "numpy": False}
+    assert json.loads(stdout)["peak_angle"] == 30.0
