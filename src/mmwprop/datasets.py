@@ -44,22 +44,19 @@ class Polarization(str, Enum):
     H = "H"
 
 
-def _coerce(obj, field_name: str, enum_cls, allowed=None, row: int | None = None):
+def _coerce(obj, field_name: str, enum_cls, allowed=None):
     value = getattr(obj, field_name)
     if not isinstance(value, enum_cls):
         try:
             value = enum_cls(value)
         except ValueError:
             raise InvariantViolationError(
-                f"{field_name} must be one of {[e.value for e in enum_cls]}, got {value!r}",
-                row=row,
+                f"{field_name} must be one of {[e.value for e in enum_cls]}, got {value!r}"
             ) from None
         object.__setattr__(obj, field_name, value)
     if allowed is not None and value not in allowed:
         raise InvariantViolationError(
-            f"{field_name} must be one of {[e.value for e in allowed]}, got {value.value!r}",
-            row=row,
-        )
+            f"{field_name} must be one of {[e.value for e in allowed]}, got {value.value!r}")
     return value
 
 
@@ -361,6 +358,7 @@ def paper_dataset() -> PaperDataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
+# The loaders build samples positionally: these follow the dataclass fields.
 PATH_LOSS_COLUMNS = (
     "freq_hz", "tx_id", "rx_id", "distance_m", "environment",
     "tx_az_deg", "tx_el_deg", "rx_az_deg", "rx_el_deg",
@@ -378,30 +376,48 @@ def path_loss_row(sample: PathLossSample) -> list:
             sample.rx_pol.value, sample.path_loss_db]
 
 
-_PATH_LOSS_NUMERIC = ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
-                      "rx_az_deg", "rx_el_deg", "path_loss_db")
+def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> list:
+    """The one CSV reader: ``build(*cells)`` per data row, cells in ``columns`` order.
 
-
-def _open_reader(path, columns: Sequence[str]):
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    header = reader.fieldnames or []
-    missing = [c for c in columns if c not in header]
-    if missing:
-        handle.close()
-        raise MissingColumnError(f"missing column(s) {missing} in {path}")
-    return handle, reader
-
-
-def _parse_float(row_values: dict, row: int, column: str) -> float:
-    raw = row_values[column]
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise BadNumericError(row, column, "" if raw is None else raw) from None
-    if not math.isfinite(value):
-        raise BadNumericError(row, column, raw)
-    return value
+    Columns are matched by header name; a repeated name reads its last copy.
+    Cells of ``numeric`` columns become finite floats, the rest stay text.
+    Blank lines are skipped and not counted; errors name the first offending
+    data row (1-based, header excluded), and a bad number in a row is
+    reported before an absent text cell or an invariant of ``build``.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in columns if c not in index]
+        if missing:
+            raise MissingColumnError(f"missing column(s) {missing} in {path}")
+        picks = [index[c] for c in columns]
+        width = max(picks) + 1
+        parsed = [k for k, c in enumerate(columns) if c in numeric]
+        out = []
+        row = 0
+        for cells in reader:
+            if not cells:
+                continue
+            row += 1
+            cells += [None] * (width - len(cells))
+            values = [cells[i] for i in picks]
+            for k in parsed:
+                raw = values[k]
+                try:
+                    values[k] = float(raw)
+                except (TypeError, ValueError):
+                    raise BadNumericError(row, columns[k], raw or "") from None
+                if not math.isfinite(values[k]):
+                    raise BadNumericError(row, columns[k], raw)
+            try:
+                if None in values:
+                    raise InvariantViolationError(
+                        f"no cell for column {columns[values.index(None)]!r}")
+                out.append(build(*values))
+            except InvariantViolationError as err:
+                raise InvariantViolationError(str(err), row=row) from None
+    return out
 
 
 def load_path_loss_csv(path) -> list[PathLossSample]:
@@ -409,29 +425,10 @@ def load_path_loss_csv(path) -> list[PathLossSample]:
 
     Errors name the first offending data row (1-based, header excluded).
     """
-    handle, reader = _open_reader(path, PATH_LOSS_COLUMNS)
-    samples = []
-    with handle:
-        for row_index, row in enumerate(reader, start=1):
-            values = {c: _parse_float(row, row_index, c) for c in _PATH_LOSS_NUMERIC}
-            try:
-                samples.append(PathLossSample(
-                    freq_hz=values["freq_hz"],
-                    tx_id=row["tx_id"],
-                    rx_id=row["rx_id"],
-                    distance_m=values["distance_m"],
-                    environment=row["environment"],
-                    tx_az_deg=values["tx_az_deg"],
-                    tx_el_deg=values["tx_el_deg"],
-                    rx_az_deg=values["rx_az_deg"],
-                    rx_el_deg=values["rx_el_deg"],
-                    tx_pol=row["tx_pol"],
-                    rx_pol=row["rx_pol"],
-                    path_loss_db=values["path_loss_db"],
-                ))
-            except InvariantViolationError as err:
-                raise InvariantViolationError(str(err), row=row_index) from None
-    return samples
+    return _read_csv(path, PATH_LOSS_COLUMNS,
+                     ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
+                      "rx_az_deg", "rx_el_deg", "path_loss_db"),
+                     PathLossSample)
 
 
 def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
@@ -443,24 +440,12 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:
-    handle, reader = _open_reader(path, REFLECTION_COLUMNS)
-    samples = []
-    with handle:
-        for row_index, row in enumerate(reader, start=1):
-            values = {c: _parse_float(row, row_index, c) for c in REFLECTION_COLUMNS}
-            try:
-                samples.append(ReflectionSample(**values))
-            except InvariantViolationError as err:
-                raise InvariantViolationError(str(err), row=row_index) from None
-    return samples
+    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample)
 
 
 def load_pattern_csv(path) -> list[tuple[float, float]]:
     """(observation angle, power dB) pairs from a scatter-pattern CSV."""
-    handle, reader = _open_reader(path, PATTERN_COLUMNS)
-    with handle:
-        return [tuple(_parse_float(row, row_index, c) for c in PATTERN_COLUMNS)
-                for row_index, row in enumerate(reader, start=1)]
+    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, lambda *cells: cells)
 
 
 _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",

@@ -103,6 +103,24 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.stderr.startswith("Csv: field larger than field limit")
 
+    @pytest.mark.parametrize("argv", [["validate"], ["reduce-directional", "--format", "csv"],
+                                      ["fit-ci", "--freq", "142e9"]])
+    def test_short_row_is_invariant_violation(self, argv, tmp_path):
+        # tx_id last in the header, and the row stops before it
+        path = tmp_path / "short.csv"
+        columns = PATH_LOSS_HEADER.replace("tx_id,", "") + ",tx_id"
+        path.write_text(columns + "\n142e9,rx1,2.0,NLOS,0,0,0,0,V,V,90\n", encoding="utf-8")
+        result = dispatch([argv[0], "--input", str(path), *argv[1:]])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "InvariantViolation: data row 1: no cell for column 'tx_id'\n"
+
+    def test_byte_order_mark_is_accepted(self, reflection_csv, tmp_path):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + reflection_csv.read_bytes())
+        plain = dispatch(["fit-linear", "--input", str(reflection_csv)])
+        assert dispatch(["fit-linear", "--input", str(marked)]) == plain
+        assert plain.exit_code == 0
+
 
 class TestFiniteFloatArguments:
     @pytest.mark.parametrize("argv", [
