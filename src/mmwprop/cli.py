@@ -12,8 +12,9 @@ import csv
 import io
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .datasets import (
     PATH_LOSS_COLUMNS,
@@ -26,7 +27,7 @@ from .datasets import (
     same_freq,
     validate_dataset,
 )
-from .errors import InvariantViolationError, MmwPropError
+from .errors import InvariantViolationError, MmwPropError, NonFiniteResultError
 from .partition import (
     LinkPowerMeasurement,
     depolarization_margin,
@@ -57,8 +58,7 @@ from .scattering import (
 MIN_SWEEP_STEP_DEG = 0.01  # at most 16 001 grid angles over the 160 deg arc
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int
     stdout: str
     stderr: str
@@ -69,6 +69,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "-1e3" would read as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -83,6 +88,12 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in its messages
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"a result is not a finite number: {value}")
+    return value
+
+
 def _round4(value):
     if isinstance(value, bool) or not isinstance(value, float):
         if isinstance(value, dict):
@@ -90,7 +101,7 @@ def _round4(value):
         if isinstance(value, (list, tuple)):
             return [_round4(v) for v in value]
         return value
-    return round(value, 4) + 0.0
+    return round(_finite(value), 4) + 0.0
 
 
 def _json_payload(obj) -> str:
@@ -102,7 +113,7 @@ def _csv_payload(header, rows) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([f"{v:.4f}".replace("-0.0000", "0.0000")
+        writer.writerow([f"{_finite(v):.4f}".replace("-0.0000", "0.0000")
                          if isinstance(v, float) else v for v in row])
     return out.getvalue()
 
@@ -376,10 +387,11 @@ def build_parser() -> _Parser:
     sub.add_argument("--eps", type=_finite_float, required=True)
     sub.add_argument("--incident-angle", type=_finite_float, required=True)
     sub.add_argument("--hpbw", type=_finite_float, default=8.0, help="antenna HPBW, deg")
-    sub.add_argument("--s-coeff", type=_finite_float, default=DsParameters.s_coeff)
-    sub.add_argument("--lambda-mix", type=_finite_float, default=DsParameters.lambda_mix)
-    sub.add_argument("--alpha-r", type=int, default=DsParameters.alpha_r)
-    sub.add_argument("--alpha-i", type=int, default=DsParameters.alpha_i)
+    defaults = DsParameters()
+    sub.add_argument("--s-coeff", type=_finite_float, default=defaults.s_coeff)
+    sub.add_argument("--lambda-mix", type=_finite_float, default=defaults.lambda_mix)
+    sub.add_argument("--alpha-r", type=int, default=defaults.alpha_r)
+    sub.add_argument("--alpha-i", type=int, default=defaults.alpha_i)
     sub.add_argument("--tx-distance", type=_finite_float, default=1.5)
     sub.add_argument("--rx-distance", type=_finite_float, default=1.5)
     sub.add_argument("--step", type=_finite_float, default=10.0, help="sweep step, deg")

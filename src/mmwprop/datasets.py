@@ -15,10 +15,9 @@ import csv
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadNumericError,
@@ -44,126 +43,119 @@ class Polarization(str, Enum):
     H = "H"
 
 
-def _coerce(obj, field_name: str, enum_cls, allowed=None):
-    value = getattr(obj, field_name)
-    if not isinstance(value, enum_cls):
-        try:
-            value = enum_cls(value)
-        except ValueError:
-            raise InvariantViolationError(
-                f"{field_name} must be one of {[e.value for e in enum_cls]}, got {value!r}"
-            ) from None
-        object.__setattr__(obj, field_name, value)
-    if allowed is not None and value not in allowed:
+# One lookup per enum, text -> member; a member is a str equal to its text,
+# so it finds its own entry.
+_ENVIRONMENTS = {e.value: e for e in Environment}
+_POLARIZATIONS = {p.value: p for p in Polarization}
+
+
+def _member(table: dict, name: str, value):
+    """The enum member ``table`` holds for ``value``; a miss names the field."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise InvariantViolationError(
-            f"{field_name} must be one of {[e.value for e in allowed]}, got {value.value!r}")
-    return value
+            f"{name} must be one of {list(table)}, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class FrequencyBand:
-    center_frequency_hz: float
-    label: str
+class FrequencyBand(NamedTuple("FrequencyBand", [("center_frequency_hz", float),
+                                                 ("label", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.center_frequency_hz > 0:
+    def __new__(cls, center_frequency_hz, label):
+        if not center_frequency_hz > 0:
             raise InvariantViolationError("center_frequency_hz must be > 0")
+        return tuple.__new__(cls, (center_frequency_hz, label))
 
 
-@dataclass(frozen=True)
-class AntennaSpec:
-    hpbw_deg: float
-    gain_dbi: float
-    xpd_db: float
+class AntennaSpec(NamedTuple("AntennaSpec", [("hpbw_deg", float), ("gain_dbi", float),
+                                             ("xpd_db", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.hpbw_deg < 180:
+    def __new__(cls, hpbw_deg, gain_dbi, xpd_db):
+        if not 0 < hpbw_deg < 180:
             raise InvariantViolationError("hpbw_deg must lie in (0, 180)")
-        if not self.xpd_db > 0:
+        if not xpd_db > 0:
             raise InvariantViolationError("xpd_db must be > 0")
+        return tuple.__new__(cls, (hpbw_deg, gain_dbi, xpd_db))
 
 
-@dataclass(frozen=True)
-class ReflectionSample:
+class ReflectionSample(NamedTuple("ReflectionSample", [
+        ("freq_hz", float), ("incident_angle_deg", float), ("reflection_loss_db", float)])):
     """One (incident angle, reflection loss) observation at one frequency."""
 
-    freq_hz: float
-    incident_angle_deg: float
-    reflection_loss_db: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.freq_hz > 0:
+    def __new__(cls, freq_hz, incident_angle_deg, reflection_loss_db):
+        if not freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
-        if not 0 < self.incident_angle_deg < 90:
+        if not 0 < incident_angle_deg < 90:
             raise InvariantViolationError("incident_angle_deg must lie in (0, 90)")
-        if not self.reflection_loss_db >= 0:
+        if not reflection_loss_db >= 0:
             raise InvariantViolationError("reflection_loss_db must be >= 0")
+        return tuple.__new__(cls, (freq_hz, incident_angle_deg, reflection_loss_db))
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
-    freq_hz: float
-    material_name: str
-    tx_pol: Polarization
-    rx_pol: Polarization
-    mean_loss_db: float
-    std_db: float
+class PartitionRecord(NamedTuple("PartitionRecord", [
+        ("freq_hz", float), ("material_name", str), ("tx_pol", Polarization),
+        ("rx_pol", Polarization), ("mean_loss_db", float), ("std_db", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _coerce(self, "tx_pol", Polarization)
-        _coerce(self, "rx_pol", Polarization)
-        if not self.std_db >= 0:
+    def __new__(cls, freq_hz, material_name, tx_pol, rx_pol, mean_loss_db, std_db):
+        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
+        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
+        if not std_db >= 0:
             raise InvariantViolationError("std_db must be >= 0")
+        return tuple.__new__(cls, (freq_hz, material_name, tx_pol, rx_pol, mean_loss_db, std_db))
 
 
-@dataclass(frozen=True)
-class CiFitRecord:
-    freq_hz: float
-    environment: Environment
-    ple: float
-    sigma_db: float
+class CiFitRecord(NamedTuple("CiFitRecord", [("freq_hz", float), ("environment", Environment),
+                                             ("ple", float), ("sigma_db", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _coerce(self, "environment", Environment)
-        if not self.ple > 0:
+    def __new__(cls, freq_hz, environment, ple, sigma_db):
+        environment = _member(_ENVIRONMENTS, "environment", environment)
+        if not ple > 0:
             raise InvariantViolationError("ple must be > 0")
-        if not self.sigma_db >= 0:
+        if not sigma_db >= 0:
             raise InvariantViolationError("sigma_db must be >= 0")
+        return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
 
 
-@dataclass(frozen=True)
-class PathLossSample:
+class PathLossSample(NamedTuple("PathLossSample", [
+        ("freq_hz", float), ("tx_id", str), ("rx_id", str), ("distance_m", float),
+        ("environment", Environment), ("tx_az_deg", float), ("tx_el_deg", float),
+        ("rx_az_deg", float), ("rx_el_deg", float), ("tx_pol", Polarization),
+        ("rx_pol", Polarization), ("path_loss_db", float)])):
     """One directional path-loss record (single pointing-angle combination)."""
 
-    freq_hz: float
-    tx_id: str
-    rx_id: str
-    distance_m: float
-    environment: Environment
-    tx_az_deg: float
-    tx_el_deg: float
-    rx_az_deg: float
-    rx_el_deg: float
-    tx_pol: Polarization
-    rx_pol: Polarization
-    path_loss_db: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _coerce(self, "environment", Environment,
-                allowed=(Environment.LOS, Environment.NLOS))
-        _coerce(self, "tx_pol", Polarization)
-        _coerce(self, "rx_pol", Polarization)
-        if not self.freq_hz > 0:
+    def __new__(cls, freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg, tx_el_deg,
+                rx_az_deg, rx_el_deg, tx_pol, rx_pol, path_loss_db):
+        environment = _member(_ENVIRONMENTS, "environment", environment)
+        if environment is Environment.NLOS_BEST:
+            raise InvariantViolationError(
+                f"environment must be one of ['LOS', 'NLOS'], got {environment.value!r}")
+        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
+        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
+        if not freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
-        if not self.distance_m >= 1.0:
+        if not distance_m >= 1.0:
             raise InvariantViolationError(
                 "distance_m must be >= 1 (close-in reference distance)")
-        if not self.path_loss_db > 0:
+        if not path_loss_db > 0:
             raise InvariantViolationError("path_loss_db must be > 0")
+        if tx_id == "":
+            raise InvariantViolationError("tx_id must not be empty")
+        if rx_id == "":
+            raise InvariantViolationError("rx_id must not be empty")
+        return tuple.__new__(cls, (freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
+                                   tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol,
+                                   path_loss_db))
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(NamedTuple):
     """Building material with per-frequency relative permittivity."""
 
     name: str
@@ -177,8 +169,7 @@ class Material:
         raise MissingEntryError(f"no permittivity for {self.name} at {freq_hz} Hz")
 
 
-@dataclass(frozen=True)
-class SounderBand:
+class SounderBand(NamedTuple):
     """Channel-sounder line: band, RF bandwidth and the horn antennas used."""
 
     band: FrequencyBand
@@ -265,8 +256,7 @@ _MATERIALS = (
 )
 
 
-@dataclass(frozen=True)
-class PaperDataset:
+class PaperDataset(NamedTuple):
     """Immutable bundle of the embedded reference tables."""
 
     sounders: tuple[SounderBand, ...]
@@ -358,7 +348,7 @@ def paper_dataset() -> PaperDataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-# The loaders build samples positionally: these follow the dataclass fields.
+# The loaders build samples positionally: these follow the record fields.
 PATH_LOSS_COLUMNS = (
     "freq_hz", "tx_id", "rx_id", "distance_m", "environment",
     "tx_az_deg", "tx_el_deg", "rx_az_deg", "rx_el_deg",
@@ -452,8 +442,7 @@ _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",
                          "rx_az_deg", "rx_el_deg", "tx_pol", "rx_pol")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     los_count: int
     nlos_count: int
     distance_min: float | None

@@ -51,6 +51,10 @@ class EstimateAtBoundError(MmwPropError):
     """A search estimate sits at an end of its search range, not at a minimum."""
 
 
+class NonFiniteResultError(MmwPropError):
+    """A result overflowed to infinity (or is NaN), so it cannot be printed as a number."""
+
+
 class MissingEntryError(MmwPropError, KeyError):
     """A reference-table lookup has no entry for the requested key."""
 

@@ -12,34 +12,31 @@ is flagged rather than rejected, since measurement noise can produce it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .datasets import Polarization, _coerce
+from .datasets import _POLARIZATIONS, Polarization, _member
 from .errors import InvariantViolationError, OverUnityBudgetError
 from .pathloss import fspl_db
 
 
-@dataclass(frozen=True)
-class LinkPowerMeasurement:
-    tx_power_dbm: float
-    rx_power_dbm: float
-    distance_m: float
-    freq_hz: float
-    tx_pol: Polarization = Polarization.V
-    rx_pol: Polarization = Polarization.V
+class LinkPowerMeasurement(NamedTuple("LinkPowerMeasurement", [
+        ("tx_power_dbm", float), ("rx_power_dbm", float), ("distance_m", float),
+        ("freq_hz", float), ("tx_pol", Polarization), ("rx_pol", Polarization)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _coerce(self, "tx_pol", Polarization)
-        _coerce(self, "rx_pol", Polarization)
-        if not self.distance_m > 0:
+    def __new__(cls, tx_power_dbm, rx_power_dbm, distance_m, freq_hz,
+                tx_pol=Polarization.V, rx_pol=Polarization.V):
+        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
+        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
+        if not distance_m > 0:
             raise InvariantViolationError("distance_m must be > 0")
-        if not self.freq_hz > 0:
+        if not freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
+        return tuple.__new__(cls, (tx_power_dbm, rx_power_dbm, distance_m, freq_hz,
+                                   tx_pol, rx_pol))
 
 
-@dataclass(frozen=True)
-class PartitionLossResult:
+class PartitionLossResult(NamedTuple):
     loss_db: float
     negative_loss: bool  # set when the link beat free space (noise artifact)
 
@@ -56,8 +53,7 @@ def xpd_from_path_losses(pl_cross_db: float, pl_co_db: float) -> float:
     return pl_cross_db - pl_co_db
 
 
-@dataclass(frozen=True)
-class XpdSummary:
+class XpdSummary(NamedTuple):
     mean_db: float
     spread_db: float  # max - min across distances
     per_distance_db: tuple[float, ...]
@@ -87,20 +83,20 @@ def depolarization_margin(cross_pol_partition_mean_db: float, xpd_db: float) -> 
     return cross_pol_partition_mean_db - xpd_db
 
 
-@dataclass(frozen=True)
-class PowerBudget:
-    reflected_fraction: float
-    transmitted_fraction: float
-    absorbed_fraction: float
+class PowerBudget(NamedTuple("PowerBudget", [
+        ("reflected_fraction", float), ("transmitted_fraction", float),
+        ("absorbed_fraction", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("reflected_fraction", "transmitted_fraction", "absorbed_fraction"):
-            value = getattr(self, name)
+    def __new__(cls, reflected_fraction, transmitted_fraction, absorbed_fraction):
+        fractions = (reflected_fraction, transmitted_fraction, absorbed_fraction)
+        for name, value in zip(cls._fields, fractions):
             if not 0.0 <= value <= 1.0:
                 raise InvariantViolationError(f"{name} must lie in [0, 1], got {value}")
-        total = self.reflected_fraction + self.transmitted_fraction + self.absorbed_fraction
+        total = reflected_fraction + transmitted_fraction + absorbed_fraction
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InvariantViolationError(f"fractions must sum to 1, got {total}")
+        return tuple.__new__(cls, fractions)
 
 
 def power_budget(reflection_loss_db: float, partition_loss_db: float) -> PowerBudget:

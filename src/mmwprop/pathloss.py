@@ -14,8 +14,7 @@ recompute an unbiased variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .datasets import Environment, PathLossSample, same_freq
 from .errors import (
@@ -39,18 +38,16 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / SPEED_OF_LIGHT_M_S)
 
 
-@dataclass(frozen=True)
-class CiModel:
-    freq_hz: float
-    ple: float
-    sigma_db: float
-    reference_distance_m: float = REFERENCE_DISTANCE_M
+class CiModel(NamedTuple("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float),
+                                     ("reference_distance_m", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.ple > 0:
+    def __new__(cls, freq_hz, ple, sigma_db, reference_distance_m=REFERENCE_DISTANCE_M):
+        if not ple > 0:
             raise InvariantViolationError("ple must be > 0")
-        if not self.sigma_db >= 0:
+        if not sigma_db >= 0:
             raise InvariantViolationError("sigma_db must be >= 0")
+        return tuple.__new__(cls, (freq_hz, ple, sigma_db, reference_distance_m))
 
 
 def ci_path_loss_db(model: CiModel, distance_m: float) -> float:
@@ -85,8 +82,7 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
     return CiModel(freq_hz=freq_hz, ple=ple, sigma_db=sigma)
 
 
-@dataclass(frozen=True)
-class DirectionalReduction:
+class DirectionalReduction(NamedTuple):
     """LOS / NLOS split plus the best pointing per NLOS TX-RX location."""
 
     los: tuple[PathLossSample, ...]

@@ -13,8 +13,7 @@ via |gamma|^2 = 10^(-loss_db / 10) (power ratio).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .datasets import ReflectionSample, same_freq
 from .errors import (
@@ -103,8 +102,7 @@ def mmse_objective(eps_r: float, samples: Sequence[ReflectionSample]) -> float:
     return _mse(eps_r, _sample_terms(samples, eps_r))
 
 
-@dataclass(frozen=True)
-class PermittivityEstimate:
+class PermittivityEstimate(NamedTuple):
     eps_r: float
     mse: float
     samples_used: int
@@ -156,8 +154,7 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
                                 samples_used=len(samples))
 
 
-@dataclass(frozen=True)
-class LinearReflectionFit:
+class LinearReflectionFit(NamedTuple):
     """|gamma_perp| modeled as slope * theta_deg + intercept, clamped to [0, 1]."""
 
     slope: float

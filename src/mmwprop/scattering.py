@@ -40,8 +40,7 @@ numpy is imported inside the array helpers ``ds_lobe_gain`` and ``ds_pattern_val
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InvariantViolationError,
@@ -77,60 +76,62 @@ def signed_to_arc(observation_angle_deg: float) -> float:
     return observation_angle_deg + 90.0
 
 
-@dataclass(frozen=True)
-class DsParameters:
+class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix", float),
+                                               ("alpha_r", int), ("alpha_i", int)])):
     """Dual-lobe directive scattering parameters.
 
     Defaults reproduce a drywall-like surface: most energy in the forward
     lobe, moderate lobe sharpness, scattering coefficient 0.4.
     """
 
-    s_coeff: float = 0.4
-    lambda_mix: float = 0.9
-    alpha_r: int = 4
-    alpha_i: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.s_coeff <= 1.0:
+    def __new__(cls, s_coeff=0.4, lambda_mix=0.9, alpha_r=4, alpha_i=4):
+        if not 0.0 <= s_coeff <= 1.0:
             raise InvariantViolationError("s_coeff must lie in [0, 1]")
-        if not 0.0 <= self.lambda_mix <= 1.0:
+        if not 0.0 <= lambda_mix <= 1.0:
             raise InvariantViolationError("lambda_mix must lie in [0, 1]")
-        for name in ("alpha_r", "alpha_i"):
-            value = getattr(self, name)
+        for name, value in (("alpha_r", alpha_r), ("alpha_i", alpha_i)):
             if not 1 <= value <= MAX_LOBE_EXPONENT or value != int(value):
                 raise InvariantViolationError(
                     f"{name} must be an integer in [1, {MAX_LOBE_EXPONENT}]")
-            object.__setattr__(self, name, int(value))
+        return tuple.__new__(cls, (s_coeff, lambda_mix, int(alpha_r), int(alpha_i)))
 
 
-@dataclass(frozen=True)
-class ScatterGeometry:
-    """One observation point on the measurement arc."""
+class ScatterGeometry(NamedTuple("ScatterGeometry", [
+        ("incident_angle_deg", float), ("observation_angle_deg", float),
+        ("tx_distance_m", float), ("rx_distance_m", float)])):
+    """One observation point on the measurement arc.
 
-    incident_angle_deg: float
-    observation_angle_deg: float  # signed from normal; + = specular side
-    tx_distance_m: float = DEFAULT_ARC_RADIUS_M
-    rx_distance_m: float = DEFAULT_ARC_RADIUS_M
+    observation_angle_deg is signed from the normal; + is the specular side.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.incident_angle_deg < 90.0:
+    __slots__ = ()
+
+    def __new__(cls, incident_angle_deg, observation_angle_deg,
+                tx_distance_m=DEFAULT_ARC_RADIUS_M, rx_distance_m=DEFAULT_ARC_RADIUS_M):
+        if not 0.0 <= incident_angle_deg < 90.0:
             raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
-        if abs(self.observation_angle_deg) > ARC_LIMIT_DEG + _ANGLE_TOL_DEG:
+        if abs(observation_angle_deg) > ARC_LIMIT_DEG + _ANGLE_TOL_DEG:
             raise InvariantViolationError(
                 f"observation_angle_deg must lie within the measured arc "
                 f"[-{ARC_LIMIT_DEG:.0f}, {ARC_LIMIT_DEG:.0f}]")
-        if not (self.tx_distance_m > 0 and self.rx_distance_m > 0):
+        if not (tx_distance_m > 0 and rx_distance_m > 0):
             raise InvariantViolationError("distances must be > 0")
+        return tuple.__new__(cls, (incident_angle_deg, observation_angle_deg,
+                                   tx_distance_m, rx_distance_m))
 
 
-@dataclass(frozen=True)
-class ScatterPatternPoint:
-    observation_angle_deg: float
-    relative_power_db: float  # relative to the pattern peak, so <= 0
+class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
+        ("observation_angle_deg", float), ("relative_power_db", float)])):
+    """relative_power_db is relative to the pattern peak, so <= 0."""
 
-    def __post_init__(self):
-        if self.relative_power_db > 1e-12:
+    __slots__ = ()
+
+    def __new__(cls, observation_angle_deg, relative_power_db):
+        if relative_power_db > 1e-12:
             raise InvariantViolationError("relative_power_db must be <= 0")
+        return tuple.__new__(cls, (observation_angle_deg, relative_power_db))
 
 
 def sweep_geometries(

@@ -1,13 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from mmwprop.cli import dispatch
+from mmwprop.cli import _csv_payload, build_parser, dispatch
 from mmwprop.datasets import load_path_loss_csv
+from mmwprop.errors import NonFiniteResultError
 from mmwprop.pathloss import fspl_db
 from mmwprop.reflection import reflection_loss_db
 
@@ -114,6 +116,18 @@ class TestExitCodes:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "InvariantViolation: data row 1: no cell for column 'tx_id'\n"
 
+    @pytest.mark.parametrize("argv", [["validate"], ["reduce-directional", "--format", "csv"]])
+    @pytest.mark.parametrize("row, column", [("142e9,,rx1,2.0,NLOS,0,0,0,0,V,V,90", "tx_id"),
+                                             ("142e9,tx1,,2.0,NLOS,0,0,0,0,V,V,90", "rx_id"),
+                                             ("142e9,,,2.0,NLOS,0,0,0,0,V,V,90", "tx_id")])
+    def test_empty_id_is_invariant_violation(self, argv, row, column, tmp_path):
+        path = tmp_path / "empty-id.csv"
+        path.write_text(f"{PATH_LOSS_HEADER}\n142e9,tx1,rx1,2.0,NLOS,0,0,0,0,V,V,90\n{row}\n",
+                        encoding="utf-8")
+        result = dispatch([argv[0], "--input", str(path), *argv[1:]])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"InvariantViolation: data row 2: {column} must not be empty\n"
+
     def test_byte_order_mark_is_accepted(self, reflection_csv, tmp_path):
         marked = tmp_path / "bom.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + reflection_csv.read_bytes())
@@ -140,6 +154,48 @@ class TestFiniteFloatArguments:
         result = dispatch(["fspl", "--freq", "abc", "--distance-m", "1"])
         assert result.exit_code == 1
         assert "argument --freq: invalid float value: 'abc'" in result.stderr
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("argv", [
+        ["fspl", "--freq", "1e308", "--distance-m", "1e308"],
+        ["ci-eval", "--freq", "1e9", "--ple", "1e308", "--distance-m", "1e300"],
+        ["depol-margin", "--vh-db", "1e308", "--hv-db", "1e308", "--xpd-db", "0"],
+    ])
+    def test_overflow_is_a_domain_error(self, argv):
+        result = dispatch(argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "NonFiniteResult: a result is not a finite number: inf\n"
+
+    def test_csv_cells_are_guarded_too(self):
+        with pytest.raises(NonFiniteResultError):
+            _csv_payload(("observation_angle_deg", "relative_power_db"), [(0.0, -math.inf)])
+
+    def test_largest_finite_results_still_print(self):
+        assert run_ok(["depol-margin", "--cross-mean-db", "1.7e308",
+                       "--xpd-db", "0"]) == {"margin_db": 1.7e308}
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("value", ["-1e3", "-1E3", "-1.5e+2", "-2.5E-1", "-.5e1",
+                                       "-1000", "-1000.0", "-.5", "-7."])
+    def test_every_float_form_is_a_value(self, value):
+        payload = run_ok(["xpd", "--co-db", value, "--cross-db", "5"])
+        assert payload["xpd_db"] == round(5 - float(value), 4)
+
+    def test_every_subcommand_reads_the_exponent_form(self):
+        # the fix sets argparse's private _negative_number_matcher on every parser
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        for name, sub in subparsers.choices.items():
+            assert sub._negative_number_matcher.match("-1e3"), name
+        result = dispatch(["fspl", "--freq", "28e9", "--distance-m", "-1e3"])
+        assert result.stderr == "InvariantViolation: distance_m must be > 0\n"
+
+    @pytest.mark.parametrize("argv", [["xpd", "--co-db", "-e3", "--cross-db", "5"],
+                                      ["xpd", "--co-db", "-1e", "--cross-db", "5"],
+                                      ["xpd", "--co-db", "5", "--cross-db", "5", "-1e3"]])
+    def test_other_dashed_words_are_still_rejected(self, argv):
+        assert dispatch(argv).exit_code == 1
 
 
 class TestFresnel:
@@ -508,3 +564,25 @@ def test_backscatter_loads_no_numpy(tmp_path):
                                  "--incident-angle", "30"])
     assert status == {"code": 0, "numpy": False}
     assert json.loads(stdout)["peak_angle"] == 30.0
+
+
+# Each row twice (duplicate keys), and per link three equal losses that the
+# azimuth has to break.
+_HASH_SEED_ROWS = "".join(
+    f"142e9,tx{t},rx{r},{2.0 + r},{env},{az},0,{-az},0,{pol},{pol},{90.0 + t}\n"
+    for t in range(4) for r in range(3) for env in ("LOS", "NLOS")
+    for az in (30.0, 10.0, 20.0) for pol in ("V", "H"))
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["reduce-directional", "--format", "json"],
+                                  ["reduce-directional", "--format", "csv"]])
+def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    path = tmp_path / "ties.csv"
+    path.write_text(f"{PATH_LOSS_HEADER}\n{_HASH_SEED_ROWS}{_HASH_SEED_ROWS}", encoding="utf-8")
+    outputs = set()
+    for seed in ("0", "1"):
+        completed = subprocess.run(
+            [sys.executable, "-m", "mmwprop", argv[0], "--input", str(path), *argv[1:]],
+            env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, check=True)
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1

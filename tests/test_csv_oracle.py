@@ -13,7 +13,6 @@ part of the first column name).
 import csv
 import io
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -271,12 +270,12 @@ def test_short_row_names_the_absent_text_cell(row, error, message, tmp_path):
 
 def test_columns_follow_the_sample_fields():
     """The loaders build samples positionally, in column order."""
-    assert PATH_LOSS_COLUMNS == tuple(f.name for f in fields(PathLossSample))
-    assert REFLECTION_COLUMNS == tuple(f.name for f in fields(ReflectionSample))
+    assert PATH_LOSS_COLUMNS == PathLossSample._fields
+    assert REFLECTION_COLUMNS == ReflectionSample._fields
 
 
 _ID_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
-                   max_size=6)
+                   min_size=1, max_size=6)
 _SAMPLES = st.lists(st.builds(
     PathLossSample,
     freq_hz=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
