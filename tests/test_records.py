@@ -1,8 +1,8 @@
 """The record types' contract: fields, construction, repr, equality,
 immutability and every invariant message.
 
-Each record is built from the keyword arguments in ``EXAMPLES``; the
-expected field names, order and defaults come from ``FIELDS``.
+Each record is built from the keyword arguments in ``EXAMPLES``, which also
+give the expected field names and order; ``DEFAULTS`` gives the defaults.
 """
 
 import inspect
@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from mmwprop import cli, datasets, partition, pathloss, reflection, scattering
 from mmwprop.cli import CommandResult
 from mmwprop.datasets import (
     AntennaSpec,
@@ -94,8 +95,12 @@ def _id(cls):
     return cls.__name__
 
 
-def test_every_record_type_is_covered():
-    assert len(RECORDS) == 22
+def test_every_record_is_a_named_tuple_listed_here():
+    found = {obj for module in (cli, datasets, partition, pathloss, reflection, scattering)
+             for obj in vars(module).values()
+             if isinstance(obj, type) and obj.__module__ == module.__name__
+             and issubclass(obj, tuple) and hasattr(obj, "_fields")}
+    assert found == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=_id)
