@@ -42,7 +42,6 @@ from .scattering import (
     ScatterPatternPoint,
     backscatter_margin,
     classify_smooth,
-    ds_lobe_gain,
     ds_normalization,
     predict_pattern,
     sweep_geometries,

@@ -176,12 +176,8 @@ def _sweep_angles(incident_angle_deg: float, step_deg: float) -> list[float]:
 def _cmd_scatter_pattern(args) -> str:
     params = DsParameters(s_coeff=args.s_coeff, lambda_mix=args.lambda_mix,
                           alpha_r=args.alpha_r, alpha_i=args.alpha_i)
-    geometries = sweep_geometries(
-        args.incident_angle,
-        _sweep_angles(args.incident_angle, args.step),
-        tx_distance_m=args.tx_distance,
-        rx_distance_m=args.rx_distance,
-    )
+    geometries = sweep_geometries(args.incident_angle,
+                                  _sweep_angles(args.incident_angle, args.step))
     pattern = predict_pattern(
         geometries, args.eps, params, args.hpbw,
         diffuse_solid_angle_sr=args.diffuse_sr,
@@ -208,11 +204,10 @@ def _cmd_scatter_pattern(args) -> str:
 
 def _cmd_backscatter(args) -> str:
     rows = load_pattern_csv(args.input)
-    peak_db = max(p for _, p in rows) if rows else 0.0
+    peak_angle, peak_db = max(rows, key=lambda row: row[1]) if rows else (None, 0.0)
     pattern = [ScatterPatternPoint(a, p - peak_db) for a, p in rows]
-    peak = max(pattern, key=lambda p: p.relative_power_db) if pattern else None
     return _json_payload({
-        "peak_angle": peak.observation_angle_deg if peak else None,
+        "peak_angle": peak_angle,
         "backscatter_margin_db": backscatter_margin(pattern, args.incident_angle),
         "smooth": classify_smooth(pattern, args.incident_angle),
     })
@@ -392,8 +387,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--lambda-mix", type=_finite_float, default=defaults.lambda_mix)
     sub.add_argument("--alpha-r", type=int, default=defaults.alpha_r)
     sub.add_argument("--alpha-i", type=int, default=defaults.alpha_i)
-    sub.add_argument("--tx-distance", type=_finite_float, default=1.5)
-    sub.add_argument("--rx-distance", type=_finite_float, default=1.5)
     sub.add_argument("--step", type=_finite_float, default=10.0, help="sweep step, deg")
     sub.add_argument("--diffuse-sr", type=_finite_float, default=DEFAULT_DIFFUSE_SOLID_ANGLE_SR)
     sub.add_argument("--spread-deg", type=_finite_float, default=DEFAULT_SPECULAR_SPREAD_DEG)

@@ -122,6 +122,12 @@ class CiFitRecord(NamedTuple("CiFitRecord", [("freq_hz", float), ("environment",
         return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
 
 
+def _id_problem(name: str, value) -> str:
+    if type(value) is str:
+        return f"{name} must not be empty"
+    return f"{name} must be a str, got {type(value).__name__}"
+
+
 class PathLossSample(NamedTuple("PathLossSample", [
         ("freq_hz", float), ("tx_id", str), ("rx_id", str), ("distance_m", float),
         ("environment", Environment), ("tx_az_deg", float), ("tx_el_deg", float),
@@ -146,10 +152,10 @@ class PathLossSample(NamedTuple("PathLossSample", [
                 "distance_m must be >= 1 (close-in reference distance)")
         if not path_loss_db > 0:
             raise InvariantViolationError("path_loss_db must be > 0")
-        if tx_id == "":
-            raise InvariantViolationError("tx_id must not be empty")
-        if rx_id == "":
-            raise InvariantViolationError("rx_id must not be empty")
+        if type(tx_id) is not str or not tx_id:
+            raise InvariantViolationError(_id_problem("tx_id", tx_id))
+        if type(rx_id) is not str or not rx_id:
+            raise InvariantViolationError(_id_problem("rx_id", rx_id))
         return tuple.__new__(cls, (freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
                                    tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol,
                                    path_loss_db))

@@ -27,14 +27,14 @@ sounder averages out phase):
 G is a Gaussian main lobe whose half-power width combines the antenna HPBW
 with a fixed illuminated-spot spread (the finite spot on the wall widens the
 specular return seen from the 1.5 m arc). Both terms share the spherical
-spreading over the TX/RX distances, so the peak-normalized pattern is
-invariant to scaling or swapping the distances. The diffuse coupling solid
-angle is the stand-in for the receive-side collection constant that ties a
-per-steradian scattered density to the dimensionless specular power ratio.
+spreading over the TX/RX distances, and the pattern is normalized to its
+peak, so the spreading cancels and the model takes no distances. The diffuse
+coupling solid angle is the stand-in for the receive-side collection constant
+that ties a per-steradian scattered density to the dimensionless specular
+power ratio.
 
 ``predict_pattern`` adds the terms as logarithms (log-sum-exp), so no product
-over- or underflows and every level is finite. The model uses only ``math``;
-numpy is imported inside the array helpers ``ds_lobe_gain`` and ``ds_pattern_value``.
+over- or underflows and every level is finite. The model uses only ``math``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .reflection import fresnel_gamma_perp
 
 ARC_LIMIT_DEG = 80.0  # measured arc spans 10..170 deg, i.e. signed -80..+80
 DEFAULT_OBSERVATION_ANGLES_DEG = tuple(float(a) for a in range(-80, 81, 10))
-DEFAULT_ARC_RADIUS_M = 1.5
 DEFAULT_DIFFUSE_SOLID_ANGLE_SR = 0.01
 DEFAULT_SPECULAR_SPREAD_DEG = 9.0
 
@@ -99,8 +98,7 @@ class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix"
 
 
 class ScatterGeometry(NamedTuple("ScatterGeometry", [
-        ("incident_angle_deg", float), ("observation_angle_deg", float),
-        ("tx_distance_m", float), ("rx_distance_m", float)])):
+        ("incident_angle_deg", float), ("observation_angle_deg", float)])):
     """One observation point on the measurement arc.
 
     observation_angle_deg is signed from the normal; + is the specular side.
@@ -108,18 +106,14 @@ class ScatterGeometry(NamedTuple("ScatterGeometry", [
 
     __slots__ = ()
 
-    def __new__(cls, incident_angle_deg, observation_angle_deg,
-                tx_distance_m=DEFAULT_ARC_RADIUS_M, rx_distance_m=DEFAULT_ARC_RADIUS_M):
+    def __new__(cls, incident_angle_deg, observation_angle_deg):
         if not 0.0 <= incident_angle_deg < 90.0:
             raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
         if abs(observation_angle_deg) > ARC_LIMIT_DEG + _ANGLE_TOL_DEG:
             raise InvariantViolationError(
                 f"observation_angle_deg must lie within the measured arc "
                 f"[-{ARC_LIMIT_DEG:.0f}, {ARC_LIMIT_DEG:.0f}]")
-        if not (tx_distance_m > 0 and rx_distance_m > 0):
-            raise InvariantViolationError("distances must be > 0")
-        return tuple.__new__(cls, (incident_angle_deg, observation_angle_deg,
-                                   tx_distance_m, rx_distance_m))
+        return tuple.__new__(cls, (incident_angle_deg, observation_angle_deg))
 
 
 class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
@@ -137,43 +131,9 @@ class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
 def sweep_geometries(
     incident_angle_deg: float,
     observation_angles_deg: Sequence[float] = DEFAULT_OBSERVATION_ANGLES_DEG,
-    tx_distance_m: float = DEFAULT_ARC_RADIUS_M,
-    rx_distance_m: float = DEFAULT_ARC_RADIUS_M,
 ) -> tuple[ScatterGeometry, ...]:
-    """Build a sweep sharing one incidence geometry."""
-    return tuple(
-        ScatterGeometry(incident_angle_deg, float(a), tx_distance_m, rx_distance_m)
-        for a in observation_angles_deg
-    )
-
-
-def ds_lobe_gain(psi_deg, alpha: int):
-    """Single-lobe gain ((1 + cos(psi)) / 2) ** alpha; 1 on axis, 0 anti-axis."""
-    import numpy as np
-    if alpha < 1:
-        raise InvariantViolationError("alpha must be >= 1")
-    return ((1.0 + np.cos(np.radians(psi_deg))) / 2.0) ** alpha
-
-
-def ds_pattern_value(polar_deg, azimuth_deg, incident_angle_deg: float,
-                     params: DsParameters):
-    """Unnormalized dual-lobe value for a hemisphere direction.
-
-    polar_deg is measured from the surface normal, azimuth_deg from the
-    source side of the incidence plane (the source lies at azimuth 0).
-    Accepts scalars or numpy arrays.
-    """
-    import numpy as np
-    theta_i = math.radians(incident_angle_deg)
-    polar = np.radians(polar_deg)
-    azimuth = np.radians(azimuth_deg)
-    sin_p, cos_p = np.sin(polar), np.cos(polar)
-    # specular axis (-sin ti, 0, cos ti); backscatter axis (+sin ti, 0, cos ti)
-    cos_psi_r = -sin_p * np.cos(azimuth) * math.sin(theta_i) + cos_p * math.cos(theta_i)
-    cos_psi_i = sin_p * np.cos(azimuth) * math.sin(theta_i) + cos_p * math.cos(theta_i)
-    forward = ((1.0 + cos_psi_r) / 2.0) ** params.alpha_r
-    backward = ((1.0 + cos_psi_i) / 2.0) ** params.alpha_i
-    return params.lambda_mix * forward + (1.0 - params.lambda_mix) * backward
+    """Build a sweep sharing one incidence angle."""
+    return tuple(ScatterGeometry(incident_angle_deg, float(a)) for a in observation_angles_deg)
 
 
 def _lobe_integral(alpha: int, cos_axis: float) -> float:
@@ -231,7 +191,7 @@ def predict_pattern(
 ) -> list[ScatterPatternPoint]:
     """Received power vs observation angle, normalized to a 0 dB peak.
 
-    The sweep must share one incidence geometry and contain the specular
+    The sweep must share one incidence angle and contain the specular
     angle, where the pattern peaks. antenna_hpbw_deg must lie in
     [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be >= 0.
     """
@@ -247,7 +207,7 @@ def predict_pattern(
         raise InvariantViolationError("diffuse_solid_angle_sr must be >= 0")
     if len(geometries) < 2:
         raise InvariantViolationError("sweep needs at least 2 observation angles")
-    if len({(g.incident_angle_deg, g.tx_distance_m, g.rx_distance_m) for g in geometries}) > 1:
+    if len({g.incident_angle_deg for g in geometries}) > 1:
         raise InvariantViolationError("sweep mixes incidence geometries")
     theta_i = geometries[0].incident_angle_deg
     angles = [float(g.observation_angle_deg) for g in geometries]

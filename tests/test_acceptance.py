@@ -29,10 +29,11 @@ from mmwprop.scattering import (
     backscatter_margin,
     classify_smooth,
     ds_normalization,
-    ds_pattern_value,
     predict_pattern,
     sweep_geometries,
 )
+
+from lobe_oracle import ds_pattern_value
 
 BAND_SETUP = {28e9: (4.7, 10.0), 73e9: (5.2, 7.0), 142e9: (6.4, 8.0)}
 INCIDENT_ANGLES = (10.0, 30.0, 60.0, 80.0)

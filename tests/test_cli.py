@@ -300,6 +300,21 @@ class TestScatterCommands:
         assert result.exit_code == 2
         assert result.stderr.startswith("MissingColumn: ")
 
+    def test_backscatter_tied_peak_reports_the_first_row(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n"
+                        "-30,-40\n40,-2\n20,-2\n30,-5\n", encoding="utf-8")
+        summary = run_ok(["backscatter", "--input", str(path), "--incident-angle", "30"])
+        assert summary == {"peak_angle": 40.0, "backscatter_margin_db": 38.0,
+                           "smooth": True}
+
+    def test_removed_distance_options_are_usage_errors(self):
+        for option in ("--tx-distance", "--rx-distance"):
+            result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                               option, "1.5"])
+            assert (result.exit_code, result.stdout) == (1, "")
+            assert f"unrecognized arguments: {option} 1.5" in result.stderr
+
     @pytest.mark.parametrize("extra, message", [
         (["--diffuse-sr", "-1"], "diffuse_solid_angle_sr must be >= 0"),
         (["--hpbw", "0", "--spread-deg", "0"], "antenna_hpbw_deg must lie in (0, 180)"),

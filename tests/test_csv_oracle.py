@@ -5,9 +5,9 @@ shares the sample classes and the error classes with ``mmwprop.datasets``
 and nothing else. On mutated CSV text the two must give the same samples,
 or the same error class, message, row and column. The reader differs from
 the oracle in two places, each pinned by its own test: a row that stops
-before a text cell is an error (the oracle loaded ``None`` into the
-sample), and a UTF-8 byte-order mark is accepted (the oracle read it as
-part of the first column name).
+before a text cell is an error naming the cell (the oracle passes
+``None`` to the sample, which rejects it), and a UTF-8 byte-order mark is
+accepted (the oracle read it as part of the first column name).
 """
 
 import csv
@@ -264,8 +264,9 @@ def test_short_row_names_the_absent_text_cell(row, error, message, tmp_path):
         load_path_loss_csv(path)
     assert str(excinfo.value) == message
     assert excinfo.value.row == 1
-    if error is InvariantViolationError:  # where the oracle loaded the absent cell as None
-        assert oracle_path_loss(path)[0].rx_id is None
+    if error is InvariantViolationError:  # the oracle passes the absent cell on as None
+        with pytest.raises(InvariantViolationError):
+            oracle_path_loss(path)
 
 
 def test_columns_follow_the_sample_fields():

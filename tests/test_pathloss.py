@@ -185,6 +185,19 @@ class TestReduceDirectional:
         best = reduce_directional(samples).nlos_best[0]
         assert (best.tx_az_deg, best.rx_az_deg) == (45.0, 30.0)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(tx_id=None), "tx_id must be a str, got NoneType"),
+        (dict(tx_id=None, distance_m=0.5),
+         "distance_m must be >= 1 (close-in reference distance)"),
+    ])
+    def test_non_text_id_is_rejected_before_the_reduction(self, changes, message):
+        # a None id once reached reduce_directional, whose sorted() raised TypeError
+        with pytest.raises(InvariantViolationError) as info:
+            reduce_directional([make_sample(5.0, 100.0),
+                                make_sample(**{"distance_m": 5.0, "path_loss_db": 99.0,
+                                               **changes})])
+        assert str(info.value) == message
+
     def test_los_kept_separate(self):
         samples = [make_sample(5.0, 80.0, env="LOS"),
                    make_sample(5.0, 100.0, env="NLOS")]

@@ -74,8 +74,7 @@ EXAMPLES = {
     PermittivityEstimate: dict(eps_r=6.4, mse=1e-6, samples_used=4),
     LinearReflectionFit: dict(slope=-0.01, intercept=0.9),
     DsParameters: dict(s_coeff=0.3, lambda_mix=0.8, alpha_r=2, alpha_i=5),
-    ScatterGeometry: dict(incident_angle_deg=30.0, observation_angle_deg=-40.0,
-                          tx_distance_m=1.5, rx_distance_m=2.0),
+    ScatterGeometry: dict(incident_angle_deg=30.0, observation_angle_deg=-40.0),
     ScatterPatternPoint: dict(observation_angle_deg=30.0, relative_power_db=-3.5),
     CommandResult: dict(exit_code=0, stdout="{}\n", stderr=""),
 }
@@ -85,7 +84,6 @@ DEFAULTS = {
     LinkPowerMeasurement: dict(tx_pol=V, rx_pol=V),
     CiModel: dict(reference_distance_m=1.0),
     DsParameters: dict(s_coeff=0.4, lambda_mix=0.9, alpha_r=4, alpha_i=4),
-    ScatterGeometry: dict(tx_distance_m=1.5, rx_distance_m=1.5),
 }
 
 RECORDS = list(EXAMPLES)
@@ -216,6 +214,8 @@ INVARIANTS = [
     (_sample(freq_hz=math.nan), "freq_hz must be > 0"),
     (_sample(distance_m=0.999), "distance_m must be >= 1 (close-in reference distance)"),
     (_sample(path_loss_db=0.0), "path_loss_db must be > 0"),
+    (_sample(tx_id=None), "tx_id must be a str, got NoneType"),
+    (_sample(rx_id=5), "rx_id must be a str, got int"),
     # the checks run in a fixed order: enums, then numbers
     (_sample(environment="X", tx_pol="X", freq_hz=0.0),
      f"environment must be one of {_ENVS}, got 'X'"),
@@ -246,7 +246,6 @@ INVARIANTS = [
     (lambda: ScatterGeometry(90.0, 0.0), "incident_angle_deg must lie in [0, 90)"),
     (lambda: ScatterGeometry(30.0, 80.1),
      "observation_angle_deg must lie within the measured arc [-80, 80]"),
-    (lambda: ScatterGeometry(30.0, 0.0, rx_distance_m=0.0), "distances must be > 0"),
     (lambda: ScatterPatternPoint(0.0, 0.1), "relative_power_db must be <= 0"),
 ]
 

@@ -3,8 +3,8 @@ range property of the log-domain pattern.
 
 The oracle below is the hemisphere quadrature the closed form replaced
 (Gauss-Legendre in the polar angle times a uniform azimuth rule), run at
-8 x the old resolution, with the lobe formula written out so it shares no
-code with ``mmwprop.scattering``.
+8 x the old resolution, over the lobe formula of ``lobe_oracle``, which
+shares no code with ``mmwprop.scattering``.
 """
 
 import math
@@ -23,6 +23,8 @@ from mmwprop.scattering import (
     sweep_geometries,
 )
 
+from lobe_oracle import dual_lobe
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
@@ -32,12 +34,7 @@ def oracle_normalization(params, incident_angle_deg, polar_points=512, azimuth_p
     polar = (nodes + 1.0) * (math.pi / 4.0)
     azimuth = np.linspace(0.0, 2.0 * math.pi, azimuth_points, endpoint=False)
     p, a = np.meshgrid(polar, azimuth, indexing="ij")
-    ti = math.radians(incident_angle_deg)
-    # lobe axes at (-sin ti, 0, cos ti) (specular) and (+sin ti, 0, cos ti)
-    cos_r = -np.sin(p) * np.cos(a) * math.sin(ti) + np.cos(p) * math.cos(ti)
-    cos_i = np.sin(p) * np.cos(a) * math.sin(ti) + np.cos(p) * math.cos(ti)
-    values = (params.lambda_mix * ((1.0 + cos_r) / 2.0) ** params.alpha_r
-              + (1.0 - params.lambda_mix) * ((1.0 + cos_i) / 2.0) ** params.alpha_i)
+    values = dual_lobe(p, a, math.radians(incident_angle_deg), params)
     per_polar = (values * np.sin(p)).sum(axis=1) * (2.0 * math.pi / azimuth_points)
     return float((per_polar * weights * (math.pi / 4.0)).sum())
 
