@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 from mmwprop.cli import _csv_payload, build_parser, dispatch
-from mmwprop.datasets import load_path_loss_csv
+from mmwprop.datasets import load_path_loss_csv, save_path_loss_csv
 from mmwprop.errors import NonFiniteResultError
 from mmwprop.pathloss import fspl_db
 from mmwprop.reflection import reflection_loss_db
@@ -579,6 +580,37 @@ def test_backscatter_loads_no_numpy(tmp_path):
                                  "--incident-angle", "30"])
     assert status == {"code": 0, "numpy": False}
     assert json.loads(stdout)["peak_angle"] == 30.0
+
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+# golden file -> (argv, fixture whose file is the --input, or None)
+_GOLDEN_RUNS = {
+    "paper-tables.json": (["paper-tables"], None),
+    "paper-tables-II.json": (["paper-tables", "--table", "II"], None),
+    "paper-tables-V.json": (["paper-tables", "--table", "V"], None),
+    "reduce-directional.json": (["reduce-directional"], "path_loss_csv"),
+    "reduce-directional.csv": (["reduce-directional", "--format", "csv"], "path_loss_csv"),
+    "estimate-eps.json": (["estimate-eps"], "reflection_csv"),
+    "partition-positive.json": (["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-100",
+                                 "--distance-m", "3", "--freq", "142e9"], None),
+    "partition-negative.json": (["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-40",
+                                 "--distance-m", "3", "--freq", "142e9"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_output_matches_golden(name, request):
+    argv, fixture = _GOLDEN_RUNS[name]
+    if fixture:
+        argv = [*argv, "--input", str(request.getfixturevalue(fixture))]
+    assert dispatch(argv) == (0, (GOLDENS / name).read_text(encoding="utf-8"), "")
+
+
+def test_saved_path_loss_csv_matches_golden(path_loss_csv, tmp_path):
+    out = tmp_path / "saved.csv"
+    save_path_loss_csv(load_path_loss_csv(path_loss_csv), out)
+    assert out.read_bytes() == (GOLDENS / "save-path-loss.csv").read_bytes()
 
 
 # Each row twice (duplicate keys), and per link three equal losses that the
