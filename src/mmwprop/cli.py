@@ -18,16 +18,16 @@ from typing import NamedTuple
 
 from .datasets import (
     PATH_LOSS_COLUMNS,
+    PATTERN_COLUMNS,
     Environment,
     load_path_loss_csv,
     load_pattern_csv,
     load_reflection_csv,
     paper_dataset,
-    path_loss_row,
     same_freq,
     validate_dataset,
 )
-from .errors import InvariantViolationError, MmwPropError, NonFiniteResultError
+from .errors import MmwPropError, NonFiniteResultError
 from .partition import (
     LinkPowerMeasurement,
     depolarization_margin,
@@ -43,7 +43,6 @@ from .reflection import (
     reflection_loss_db,
 )
 from .scattering import (
-    ARC_LIMIT_DEG,
     DEFAULT_DIFFUSE_SOLID_ANGLE_SR,
     DEFAULT_SPECULAR_SPREAD_DEG,
     DsParameters,
@@ -51,11 +50,9 @@ from .scattering import (
     backscatter_margin,
     classify_smooth,
     predict_pattern,
+    sweep_angles,
     sweep_geometries,
 )
-
-
-MIN_SWEEP_STEP_DEG = 0.01  # at most 16 001 grid angles over the 160 deg arc
 
 
 class CommandResult(NamedTuple):
@@ -68,6 +65,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -76,6 +77,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def print_help(self, file=None):  # argparse default prints, then exits
+        raise _Help(self.format_help())
 
 
 def _finite_float(text: str) -> float:
@@ -141,12 +145,7 @@ def _filter_freq(samples, freq_hz):
 
 def _cmd_estimate_eps(args) -> str:
     samples = _filter_freq(load_reflection_csv(args.input), args.freq)
-    estimate = estimate_permittivity_mmse(samples)
-    return _json_payload({
-        "eps_r": estimate.eps_r,
-        "mse": estimate.mse,
-        "samples_used": estimate.samples_used,
-    })
+    return _json_payload(estimate_permittivity_mmse(samples)._asdict())
 
 
 def _cmd_fit_linear(args) -> str:
@@ -160,45 +159,25 @@ def _cmd_fit_linear(args) -> str:
     })
 
 
-def _sweep_angles(incident_angle_deg: float, step_deg: float) -> list[float]:
-    if not step_deg > 0:
-        raise InvariantViolationError("sweep step must be > 0")
-    if step_deg < MIN_SWEEP_STEP_DEG:
-        raise InvariantViolationError(f"sweep step must be >= {MIN_SWEEP_STEP_DEG} deg")
-    count = int(round(2 * ARC_LIMIT_DEG / step_deg))
-    angles = [-ARC_LIMIT_DEG + i * step_deg for i in range(count + 1)]
-    angles = [a for a in angles if abs(a) <= ARC_LIMIT_DEG + 1e-9]
-    if not any(abs(a - incident_angle_deg) <= 1e-6 for a in angles):
-        angles.append(incident_angle_deg)
-    return sorted(angles)
-
-
 def _cmd_scatter_pattern(args) -> str:
     params = DsParameters(s_coeff=args.s_coeff, lambda_mix=args.lambda_mix,
                           alpha_r=args.alpha_r, alpha_i=args.alpha_i)
     geometries = sweep_geometries(args.incident_angle,
-                                  _sweep_angles(args.incident_angle, args.step))
+                                  sweep_angles(args.incident_angle, args.step))
     pattern = predict_pattern(
         geometries, args.eps, params, args.hpbw,
         diffuse_solid_angle_sr=args.diffuse_sr,
         specular_spread_deg=args.spread_deg,
     )
     if args.format == "csv":
-        return _csv_payload(
-            ("observation_angle_deg", "relative_power_db"),
-            [(p.observation_angle_deg, p.relative_power_db) for p in pattern],
-        )
+        return _csv_payload(PATTERN_COLUMNS, pattern)
     peak = max(pattern, key=lambda p: p.relative_power_db)
     return _json_payload({
         "incident_angle_deg": args.incident_angle,
         "peak_angle": peak.observation_angle_deg,
         "backscatter_margin_db": backscatter_margin(pattern, args.incident_angle),
         "smooth": classify_smooth(pattern, args.incident_angle),
-        "pattern": [
-            {"observation_angle_deg": p.observation_angle_deg,
-             "relative_power_db": p.relative_power_db}
-            for p in pattern
-        ],
+        "pattern": [p._asdict() for p in pattern],
     })
 
 
@@ -217,14 +196,12 @@ def _cmd_partition(args) -> str:
     rx_power = args.rx_power_dbm
     if args.gains_dbi:
         rx_power -= sum(args.gains_dbi)
-    result = partition_loss(LinkPowerMeasurement(
+    return _json_payload(partition_loss(LinkPowerMeasurement(
         tx_power_dbm=args.tx_power_dbm,
         rx_power_dbm=rx_power,
         distance_m=args.distance_m,
         freq_hz=args.freq,
-    ))
-    return _json_payload({"loss_db": result.loss_db,
-                          "negative_loss": result.negative_loss})
+    ))._asdict())
 
 
 def _cmd_xpd(args) -> str:
@@ -281,13 +258,12 @@ def _cmd_fit_ci(args) -> str:
 def _cmd_reduce_directional(args) -> str:
     reduction = reduce_directional(load_path_loss_csv(args.input))
     if args.format == "csv":
-        return _csv_payload(PATH_LOSS_COLUMNS, map(path_loss_row, reduction.nlos_best))
+        return _csv_payload(PATH_LOSS_COLUMNS, reduction.nlos_best)
     return _json_payload({
         "los_count": len(reduction.los),
         "nlos_count": len(reduction.nlos_all),
         "nlos_best_count": len(reduction.nlos_best),
-        "nlos_best": [dict(zip(PATH_LOSS_COLUMNS, path_loss_row(s)))
-                      for s in reduction.nlos_best],
+        "nlos_best": [s._asdict() for s in reduction.nlos_best],
     })
 
 
@@ -311,18 +287,10 @@ def _paper_tables_payload() -> dict:
             }
             for s in data.sounders
         ],
-        "II": [
-            {"freq_hz": s.freq_hz, "incident_angle_deg": s.incident_angle_deg,
-             "reflection_loss_db": s.reflection_loss_db}
-            for s in data.reflection
-        ],
+        "II": [s._asdict() for s in data.reflection],
         "III": _partition_table(data, "clear_glass"),
         "IV": _partition_table(data, "drywall"),
-        "V": [
-            {"freq_hz": r.freq_hz, "environment": r.environment.value,
-             "ple": r.ple, "sigma_db": r.sigma_db}
-            for r in data.ci_fits
-        ],
+        "V": [r._asdict() for r in data.ci_fits],
     }
 
 
@@ -475,17 +443,15 @@ def _error_name(exc: BaseException) -> str:
 
 
 def dispatch(argv) -> CommandResult:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        return CommandResult(1, "", str(err) + "\n")
-    try:
+        args = build_parser().parse_args(argv)
         payload = args.handler(args)
-        if getattr(args, "output", None):
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(payload)
-            return CommandResult(0, "", "")
+            payload = ""
+    except _Help as help_text:
+        return CommandResult(0, str(help_text), "")
     except _UsageError as err:
         return CommandResult(1, "", str(err) + "\n")
     except (MmwPropError, OSError, UnicodeDecodeError, csv.Error) as err:

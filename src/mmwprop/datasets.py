@@ -354,22 +354,12 @@ def paper_dataset() -> PaperDataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-# The loaders build samples positionally: these follow the record fields.
-PATH_LOSS_COLUMNS = (
-    "freq_hz", "tx_id", "rx_id", "distance_m", "environment",
-    "tx_az_deg", "tx_el_deg", "rx_az_deg", "rx_el_deg",
-    "tx_pol", "rx_pol", "path_loss_db",
-)
-REFLECTION_COLUMNS = ("freq_hz", "incident_angle_deg", "reflection_loss_db")
+# A CSV row is a record's fields in order; csv and json write an enum member
+# as its text. PATTERN_COLUMNS is ScatterPatternPoint._fields, spelled out
+# because scattering imports this module (through reflection).
+PATH_LOSS_COLUMNS = PathLossSample._fields
+REFLECTION_COLUMNS = ReflectionSample._fields
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
-
-
-def path_loss_row(sample: PathLossSample) -> list:
-    """The sample's values in PATH_LOSS_COLUMNS order, enums as their text."""
-    return [sample.freq_hz, sample.tx_id, sample.rx_id, sample.distance_m,
-            sample.environment.value, sample.tx_az_deg, sample.tx_el_deg,
-            sample.rx_az_deg, sample.rx_el_deg, sample.tx_pol.value,
-            sample.rx_pol.value, sample.path_loss_db]
 
 
 def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> list:
@@ -432,7 +422,7 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(PATH_LOSS_COLUMNS)
-        writer.writerows(map(path_loss_row, samples))
+        writer.writerows(samples)
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:

@@ -51,7 +51,7 @@ from .errors import (
 from .reflection import fresnel_gamma_perp
 
 ARC_LIMIT_DEG = 80.0  # measured arc spans 10..170 deg, i.e. signed -80..+80
-DEFAULT_OBSERVATION_ANGLES_DEG = tuple(float(a) for a in range(-80, 81, 10))
+MIN_SWEEP_STEP_DEG = 0.01  # at most 16 001 grid angles over the 160 deg arc
 DEFAULT_DIFFUSE_SOLID_ANGLE_SR = 0.01
 DEFAULT_SPECULAR_SPREAD_DEG = 9.0
 
@@ -128,11 +128,28 @@ class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
         return tuple.__new__(cls, (observation_angle_deg, relative_power_db))
 
 
+def sweep_angles(incident_angle_deg: float, step_deg: float = 10.0) -> list[float]:
+    """The arc grid -80, -80 + step, ... up to +80 deg, plus the specular
+    angle unless a grid angle lies within 1e-6 deg of it."""
+    if not step_deg > 0:
+        raise InvariantViolationError("sweep step must be > 0")
+    if step_deg < MIN_SWEEP_STEP_DEG:
+        raise InvariantViolationError(f"sweep step must be >= {MIN_SWEEP_STEP_DEG} deg")
+    count = int(round(2 * ARC_LIMIT_DEG / step_deg))
+    angles = [-ARC_LIMIT_DEG + i * step_deg for i in range(count + 1)]
+    angles = [a for a in angles if abs(a) <= ARC_LIMIT_DEG + 1e-9]
+    if not any(abs(a - incident_angle_deg) <= _ANGLE_TOL_DEG for a in angles):
+        angles.append(incident_angle_deg)
+    return sorted(angles)
+
+
 def sweep_geometries(
     incident_angle_deg: float,
-    observation_angles_deg: Sequence[float] = DEFAULT_OBSERVATION_ANGLES_DEG,
+    observation_angles_deg: Sequence[float] | None = None,
 ) -> tuple[ScatterGeometry, ...]:
-    """Build a sweep sharing one incidence angle."""
+    """Build a sweep sharing one incidence angle; by default ``sweep_angles``'s grid."""
+    if observation_angles_deg is None:
+        observation_angles_deg = sweep_angles(incident_angle_deg)
     return tuple(ScatterGeometry(incident_angle_deg, float(a)) for a in observation_angles_deg)
 
 

@@ -506,6 +506,16 @@ def test_module_entry_point_runs():
     assert json.loads(completed.stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["fspl", "-h"], ["scatter-pattern", "--help"]])
+def test_help_is_returned_and_printed_unchanged(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    completed = subprocess.run([sys.executable, "-m", "mmwprop", *argv],
+                               capture_output=True, text=True)
+    assert completed.returncode == 0
+    assert completed.stdout.startswith("usage: mmwprop")
+    assert dispatch(argv) == (0, completed.stdout, completed.stderr)
+
+
 _COLD_START = """
 import json, sys
 import mmwprop, mmwprop.cli

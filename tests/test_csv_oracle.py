@@ -33,6 +33,7 @@ from mmwprop.errors import (
     MissingColumnError,
     MmwPropError,
 )
+from mmwprop.scattering import ScatterPatternPoint
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -270,9 +271,11 @@ def test_short_row_names_the_absent_text_cell(row, error, message, tmp_path):
 
 
 def test_columns_follow_the_sample_fields():
-    """The loaders build samples positionally, in column order."""
+    """The loaders build samples positionally, in column order, and the
+    pattern columns are written out apart from their record."""
     assert PATH_LOSS_COLUMNS == PathLossSample._fields
     assert REFLECTION_COLUMNS == ReflectionSample._fields
+    assert PATTERN_COLUMNS == ScatterPatternPoint._fields
 
 
 _ID_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),

@@ -10,7 +10,6 @@ from mmwprop.errors import (
 )
 from mmwprop.reflection import fresnel_gamma_perp_magnitude
 from mmwprop.scattering import (
-    DEFAULT_OBSERVATION_ANGLES_DEG,
     DsParameters,
     ScatterGeometry,
     ScatterPatternPoint,
@@ -152,6 +151,12 @@ class TestPredictPattern:
             assert by_angle[ti + 3 * hpbw] < -40.0
             assert by_angle[ti - 3 * hpbw] < -40.0
 
+    def test_default_sweep_includes_the_specular_angle(self):
+        geoms = sweep_geometries(25.0)
+        assert [g.observation_angle_deg for g in geoms] == sorted(
+            [float(a) for a in range(-80, 81, 10)] + [25.0])
+        assert peak_angle(predict_pattern(geoms, 6.4)) == 25.0
+
     def test_missing_specular_angle(self):
         geoms = sweep_geometries(25.0, (-60.0, -30.0, 0.0, 30.0, 60.0))
         with pytest.raises(MissingSpecularAngleError):
@@ -195,8 +200,7 @@ class TestPredictPattern:
                 alpha_r=int(rng.integers(1, 9)),
                 alpha_i=int(rng.integers(1, 9)),
             )
-            angles = sorted(set(DEFAULT_OBSERVATION_ANGLES_DEG) | {ti})
-            pattern = predict_pattern(sweep_geometries(ti, angles), eps, params,
+            pattern = predict_pattern(sweep_geometries(ti), eps, params,
                                       antenna_hpbw_deg=8.0)
             assert peak_angle(pattern) == pytest.approx(ti)
 

@@ -14,7 +14,6 @@ import pytest
 
 from mmwprop.errors import InvariantViolationError, MmwPropError
 from mmwprop.scattering import (
-    DEFAULT_OBSERVATION_ANGLES_DEG,
     MAX_LOBE_EXPONENT,
     MIN_HPBW_DEG,
     DsParameters,
@@ -63,10 +62,6 @@ def test_exponent_outside_the_range_is_rejected(alpha):
         DsParameters(alpha_r=alpha)
 
 
-def _sweep(theta):
-    return sweep_geometries(theta, sorted(set(DEFAULT_OBSERVATION_ANGLES_DEG) | {theta}))
-
-
 _unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 _exponent = st.one_of(st.sampled_from((1, MAX_LOBE_EXPONENT)),
                       st.integers(1, MAX_LOBE_EXPONENT))
@@ -96,7 +91,7 @@ def test_pattern_is_finite_and_peaks_at_zero_db(theta, eps_r, s_coeff, lambda_mi
     params = DsParameters(s_coeff=s_coeff, lambda_mix=lambda_mix,
                           alpha_r=alpha_r, alpha_i=alpha_i)
     try:
-        pattern = predict_pattern(_sweep(theta), eps_r, params, hpbw,
+        pattern = predict_pattern(sweep_geometries(theta), eps_r, params, hpbw,
                                   diffuse_solid_angle_sr=solid_angle,
                                   specular_spread_deg=spread)
     except MmwPropError:
