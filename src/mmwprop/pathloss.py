@@ -96,17 +96,20 @@ def reduce_directional(samples: Sequence[PathLossSample]) -> DirectionalReductio
     Ties on path loss break toward the lowest (tx_az_deg, rx_az_deg) pair.
     The nlos_best entries are ordered by (tx_id, rx_id).
     """
-    los = tuple(s for s in samples if s.environment is Environment.LOS)
-    nlos = tuple(s for s in samples if s.environment is Environment.NLOS)
-
-    best: dict[tuple[str, str], PathLossSample] = {}
-    for s in nlos:
-        key = (s.tx_id, s.rx_id)
-        current = best.get(key)
-        if current is None or (
-            (s.path_loss_db, s.tx_az_deg, s.rx_az_deg)
-            < (current.path_loss_db, current.tx_az_deg, current.rx_az_deg)
-        ):
-            best[key] = s
-    nlos_best = tuple(best[k] for k in sorted(best))
-    return DirectionalReduction(los=los, nlos_all=nlos, nlos_best=nlos_best)
+    los: list[PathLossSample] = []
+    nlos: list[PathLossSample] = []
+    # (tx_id, rx_id) -> ((path_loss_db, tx_az_deg, rx_az_deg), best sample so far)
+    best: dict[tuple[str, str], tuple[tuple[float, float, float], PathLossSample]] = {}
+    for s in samples:
+        environment = s.environment
+        if environment is Environment.LOS:
+            los.append(s)
+        elif environment is Environment.NLOS:
+            nlos.append(s)
+            key = (s.tx_id, s.rx_id)
+            rank = (s.path_loss_db, s.tx_az_deg, s.rx_az_deg)
+            current = best.get(key)
+            if current is None or rank < current[0]:
+                best[key] = (rank, s)
+    nlos_best = tuple(best[k][1] for k in sorted(best))
+    return DirectionalReduction(los=tuple(los), nlos_all=tuple(nlos), nlos_best=nlos_best)

@@ -130,7 +130,7 @@ class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
 
 def sweep_angles(incident_angle_deg: float, step_deg: float = 10.0) -> list[float]:
     """The arc grid -80, -80 + step, ... up to +80 deg, plus the specular
-    angle unless a grid angle lies within 1e-6 deg of it."""
+    angle when it lies on the arc and no grid angle lies within 1e-6 deg of it."""
     if not step_deg > 0:
         raise InvariantViolationError("sweep step must be > 0")
     if step_deg < MIN_SWEEP_STEP_DEG:
@@ -138,7 +138,8 @@ def sweep_angles(incident_angle_deg: float, step_deg: float = 10.0) -> list[floa
     count = int(round(2 * ARC_LIMIT_DEG / step_deg))
     angles = [-ARC_LIMIT_DEG + i * step_deg for i in range(count + 1)]
     angles = [a for a in angles if abs(a) <= ARC_LIMIT_DEG + 1e-9]
-    if not any(abs(a - incident_angle_deg) <= _ANGLE_TOL_DEG for a in angles):
+    if (abs(incident_angle_deg) <= ARC_LIMIT_DEG + _ANGLE_TOL_DEG
+            and not any(abs(a - incident_angle_deg) <= _ANGLE_TOL_DEG for a in angles)):
         angles.append(incident_angle_deg)
     return sorted(angles)
 

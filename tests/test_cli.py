@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -137,7 +138,33 @@ class TestExitCodes:
         assert plain.exit_code == 0
 
 
+def _options():
+    """(subcommand, action) for every option of every subcommand."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.option_strings]
+
+
+_FLOAT_OPTIONS = [(name, a.option_strings[0], a.nargs or 1)
+                  for name, a in _options() if a.type is float]
+
+
 class TestFiniteFloatArguments:
+    def test_every_typed_option_is_a_float_or_an_int(self):
+        # a new converter would escape the finite-float rule the parser registers
+        assert {a.type for _, a in _options()} == {None, float, int}
+        assert len(_FLOAT_OPTIONS) == 33
+
+    @pytest.mark.parametrize("name, option, nargs", _FLOAT_OPTIONS,
+                             ids=[f"{n} {o}" for n, o, _ in _FLOAT_OPTIONS])
+    def test_every_float_option_is_finite(self, name, option, nargs):
+        for text, message in (("inf", "not a finite number"), ("nan", "not a finite number"),
+                              ("1e400", "not a finite number"), ("abc", "invalid float value")):
+            result = dispatch([name, option, *[text] * nargs])
+            assert (result.exit_code, result.stdout) == (1, ""), (option, text)
+            assert result.stderr.endswith(f"error: argument {option}: {message}: {text!r}\n")
+
     @pytest.mark.parametrize("argv", [
         ["fspl", "--freq", "28e9", "--distance-m", "inf"],
         ["fspl", "--freq", "nan", "--distance-m", "1"],
@@ -368,6 +395,13 @@ class TestScatterCommands:
         assert max(levels) == 0.0 and min(levels) < -1e4
         csv_text = dispatch([*argv, "--format", "csv"]).stdout
         assert "inf" not in csv_text and "nan" not in csv_text
+
+    @pytest.mark.parametrize("angle", ["80.5", "85", "89.99"])
+    def test_off_arc_incidence_names_the_incidence_angle(self, angle):
+        result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", angle])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("MissingSpecularAngle: sweep does not include the specular "
+                                 f"angle {float(angle)} deg\n")
 
     def test_specular_angle_injected_into_sweep(self):
         payload = run_ok(["scatter-pattern", "--eps", "6.4",
@@ -606,11 +640,47 @@ _GOLDEN_RUNS = {
                                  "--distance-m", "3", "--freq", "142e9"], None),
     "partition-negative.json": (["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-40",
                                  "--distance-m", "3", "--freq", "142e9"], None),
+    "fresnel.json": (["fresnel", "--eps", "4.7", "--angle", "30"], None),
+    "fit-linear.json": (["fit-linear"], "reflection_csv"),
+    "backscatter.json": (["backscatter", "--incident-angle", "30"], "pattern_csv"),
+    "xpd.json": (["xpd", "--co-db", "80", "--cross-db", "124.18"], None),
+    "budget.json": (["budget", "--refl-db", "7.25", "--part-db", "8.46"], None),
+    "fspl.json": (["fspl", "--freq", "73e9", "--distance-m", "4.5"], None),
+    "ci-eval.json": (["ci-eval", "--freq", "142e9", "--ple", "1.99", "--sigma-db", "3.1",
+                      "--distance-m", "10"], None),
+    "validate.json": (["validate"], "path_loss_csv"),
+    "scatter-pattern.json": (["scatter-pattern", "--eps", "6.4", "--incident-angle", "33",
+                              "--hpbw", "8"], None),
+    "scatter-pattern.csv": (["scatter-pattern", "--eps", "4.7", "--incident-angle", "42.5",
+                             "--step", "5", "--format", "csv"], None),
+    "depol-margin-mean.json": (["depol-margin", "--cross-mean-db", "25.70", "--xpd-db", "19.30"],
+                               None),
+    "depol-margin-pair.json": (["depol-margin", "--vh-db", "25.59", "--hv-db", "25.81",
+                                "--xpd-db", "19.30"], None),
+    # the fixture's LOS and NLOS rows lie on different lines, so each filter fits its own
+    "fit-ci.json": (["fit-ci", "--freq", "142e9"], "path_loss_csv"),
+    "fit-ci-LOS.json": (["fit-ci", "--freq", "142e9", "--env", "LOS"], "path_loss_csv"),
+    "fit-ci-NLOS.json": (["fit-ci", "--freq", "142e9", "--env", "NLOS"], "path_loss_csv"),
+    "fit-ci-NLOS_BEST.json": (["fit-ci", "--freq", "142e9", "--env", "NLOS_BEST"],
+                              "path_loss_csv"),
+    "help.txt": (["-h"], None),
+    **{f"help-{name}.txt": ([name, "-h"], None) for name in (
+        "fresnel", "estimate-eps", "fit-linear", "scatter-pattern", "backscatter", "partition",
+        "xpd", "depol-margin", "budget", "fspl", "ci-eval", "fit-ci", "reduce-directional",
+        "paper-tables", "validate")},
 }
 
 
+@pytest.fixture
+def pattern_csv(tmp_path):
+    path = tmp_path / "pattern.csv"
+    path.write_text(_PATTERN_GOLDEN, encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
-def test_output_matches_golden(name, request):
+def test_output_matches_golden(name, request, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
     argv, fixture = _GOLDEN_RUNS[name]
     if fixture:
         argv = [*argv, "--input", str(request.getfixturevalue(fixture))]

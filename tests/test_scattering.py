@@ -162,6 +162,13 @@ class TestPredictPattern:
         with pytest.raises(MissingSpecularAngleError):
             predict_pattern(geoms, 6.4, antenna_hpbw_deg=8.0)
 
+    def test_off_arc_incidence_is_a_missing_specular_angle(self):
+        # 85 deg lies past the +80 deg arc, so the default sweep is the grid alone
+        geoms = sweep_geometries(85.0)
+        assert [g.observation_angle_deg for g in geoms] == [float(a) for a in range(-80, 81, 10)]
+        with pytest.raises(MissingSpecularAngleError, match="specular angle 85.0 deg"):
+            predict_pattern(geoms, 6.4)
+
     @pytest.mark.parametrize("kwargs", [
         dict(antenna_hpbw_deg=0.0),
         dict(antenna_hpbw_deg=-5.0),
