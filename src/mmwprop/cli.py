@@ -209,7 +209,7 @@ def _cmd_depol_margin(args) -> dict:
     elif args.vh_db is not None and args.hv_db is not None:
         mean = (args.vh_db + args.hv_db) / 2.0
     else:
-        raise _UsageError("provide --cross-mean-db or both --vh-db and --hv-db")
+        args.error("provide --cross-mean-db or both --vh-db and --hv-db")
     return {"margin_db": depolarization_margin(mean, args.xpd_db)}
 
 
@@ -362,7 +362,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--vh-db", type=float)
     sub.add_argument("--hv-db", type=float)
     sub.add_argument("--xpd-db", type=float, required=True)
-    sub.set_defaults(handler=_cmd_depol_margin)
+    sub.set_defaults(handler=_cmd_depol_margin, error=sub.error)
 
     sub = subs.add_parser("budget", help="reflected/transmitted/absorbed split")
     sub.add_argument("--refl-db", type=float, required=True)

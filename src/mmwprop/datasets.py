@@ -17,6 +17,7 @@ import operator
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -361,6 +362,8 @@ PATH_LOSS_COLUMNS = PathLossSample._fields
 REFLECTION_COLUMNS = ReflectionSample._fields
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 
+_BLOCK_ROWS = 64  # rows converted at a time: few, so that a block's cells die young
+
 
 def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> list:
     """The one CSV reader: ``build(*cells)`` per data row, cells in ``columns`` order.
@@ -370,6 +373,9 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> li
     Blank lines are skipped and not counted; errors name the first offending
     data row (1-based, header excluded), and a bad number in a row is
     reported before an absent text cell or an invariant of ``build``.
+
+    Rows are converted a block at a time, column by column; a block with any
+    fault is read again by the per-row loop, the one place that names a row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -380,30 +386,45 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> li
         picks = [index[c] for c in columns]
         width = max(picks) + 1
         parsed = [k for k, c in enumerate(columns) if c in numeric]
+        rows = filter(None, reader)
         out = []
         row = 0
-        for cells in reader:
-            if not cells:
-                continue
-            row += 1
-            cells += [None] * (width - len(cells))
-            values = [cells[i] for i in picks]
-            for k in parsed:
-                raw = values[k]
-                try:
-                    values[k] = float(raw)
-                except (TypeError, ValueError):
-                    raise BadNumericError(row, columns[k], raw or "") from None
-                if not math.isfinite(values[k]):
-                    raise BadNumericError(row, columns[k], raw)
+        while True:
+            block = []
             try:
-                if None in values:
-                    raise InvariantViolationError(
-                        f"no cell for column {columns[values.index(None)]!r}")
-                out.append(build(*values))
-            except InvariantViolationError as err:
-                raise InvariantViolationError(str(err), row=row) from None
-    return out
+                block += islice(rows, _BLOCK_ROWS)  # keeps the rows read before an error
+            finally:  # so a fault in those rows is reported before the reader's error
+                try:
+                    cols = list(zip(*block))  # one per cell of the shortest row
+                    cols = [cols[i] for i in picks]  # IndexError: a short row, or no rows
+                    for k in parsed:
+                        cols[k] = list(map(float, cols[k]))
+                        if not math.isfinite(sum(cols[k])):  # a finite overflow only costs a retry
+                            raise ValueError
+                    out += list(map(build, *cols))
+                    row += len(block)
+                except (IndexError, ValueError, InvariantViolationError):
+                    for cells in block:
+                        row += 1
+                        cells += [None] * (width - len(cells))
+                        values = [cells[i] for i in picks]
+                        for k in parsed:
+                            raw = values[k]
+                            try:
+                                values[k] = float(raw)
+                            except (TypeError, ValueError):
+                                raise BadNumericError(row, columns[k], raw or "") from None
+                            if not math.isfinite(values[k]):
+                                raise BadNumericError(row, columns[k], raw)
+                        try:
+                            if None in values:
+                                raise InvariantViolationError(
+                                    f"no cell for column {columns[values.index(None)]!r}")
+                            out.append(build(*values))
+                        except InvariantViolationError as err:
+                            raise InvariantViolationError(str(err), row=row) from None
+            if len(block) < _BLOCK_ROWS:
+                return out
 
 
 def load_path_loss_csv(path) -> list[PathLossSample]:

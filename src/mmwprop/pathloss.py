@@ -35,7 +35,10 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
         raise InvariantViolationError("freq_hz must be > 0")
     if not distance_m > 0:
         raise InvariantViolationError("distance_m must be > 0")
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / SPEED_OF_LIGHT_M_S)
+    ratio = 4.0 * math.pi * distance_m * freq_hz / SPEED_OF_LIGHT_M_S
+    if ratio == 0.0:
+        raise InvariantViolationError("4*pi*d*f/c underflows to 0, so the loss in dB is unbounded")
+    return 20.0 * math.log10(ratio)
 
 
 class CiModel(NamedTuple("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float),
@@ -77,7 +80,8 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
         raise AllAtReferenceDistanceError(
             "every sample is at the reference distance; slope is undefined")
     ple = sum(x * y for x, y in zip(a, b)) / denom
-    residual_sq = sum((y - ple * x) ** 2 for x, y in zip(b, a))
+    # r * r overflows to inf, which the caller reports; float ** would raise
+    residual_sq = sum(r * r for r in (y - ple * x for x, y in zip(b, a)))
     sigma = math.sqrt(residual_sq / len(samples))
     return CiModel(freq_hz=freq_hz, ple=ple, sigma_db=sigma)
 

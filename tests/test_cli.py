@@ -137,6 +137,31 @@ class TestExitCodes:
         assert dispatch(["fit-linear", "--input", str(marked)]) == plain
         assert plain.exit_code == 0
 
+    @pytest.mark.parametrize("loss, stderr", [
+        ("oops", "BadNumeric: data row 1, column 'path_loss_db': not a finite number: 'oops'\n"),
+        ("90", "Csv: field larger than field limit (131072)\n"),
+    ])
+    def test_bad_number_is_reported_before_an_oversized_field(self, loss, stderr, tmp_path):
+        path = tmp_path / "huge-field.csv"
+        path.write_text(f"{PATH_LOSS_HEADER}\n142e9,tx1,rx1,2.0,NLOS,0,0,0,0,V,V,{loss}\n"
+                        + '"' + "x" * 200_000 + '"\n', encoding="utf-8")
+        assert dispatch(["validate", "--input", str(path)]) == (2, "", stderr)
+
+    @pytest.mark.parametrize("loss, stderr", [
+        ("oops", "BadNumeric: data row 3, column 'path_loss_db': not a finite number: 'oops'\n"),
+        ("90", "UnicodeDecode: "),
+    ])
+    def test_bad_number_is_reported_before_a_bad_utf8_byte(self, loss, stderr, tmp_path):
+        # long rows put the bad byte past the first 8 KiB decoded, so the
+        # rows before it are read (and the bad number met) first
+        rows = [f"142e9,{'t' * 300},rx1,2.0,NLOS,0,0,0,0,V,V,{loss if i == 3 else 90}"
+                for i in range(1, 41)]
+        path = tmp_path / "bad-byte.csv"
+        path.write_bytes("\n".join([PATH_LOSS_HEADER, *rows, ""]).encode() + b"\xff\n")
+        result = dispatch(["validate", "--input", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(stderr)
+
 
 def _options():
     """(subcommand, action) for every option of every subcommand."""
@@ -192,6 +217,26 @@ class TestNonFiniteResults:
     ])
     def test_overflow_is_a_domain_error(self, argv):
         result = dispatch(argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "NonFiniteResult: a result is not a finite number: inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fspl", "--freq", "1e-200", "--distance-m", "1e-200"],
+        ["ci-eval", "--freq", "5e-324", "--ple", "2", "--distance-m", "10"],
+        ["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-50",
+         "--distance-m", "5e-324", "--freq", "5e-324"],
+    ])
+    def test_underflow_to_zero_is_a_domain_error(self, argv):
+        result = dispatch(argv)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("InvariantViolation: 4*pi*d*f/c underflows to 0, "
+                                 "so the loss in dB is unbounded\n")
+
+    def test_overflowing_fit_residual_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "huge-loss.csv"
+        path.write_text(f"{PATH_LOSS_HEADER}\n142e9,tx1,rx1,2.0,NLOS,0,0,0,0,V,V,1e200\n"
+                        "142e9,tx1,rx2,4.0,NLOS,0,0,0,0,V,V,90\n", encoding="utf-8")
+        result = dispatch(["fit-ci", "--input", str(path), "--freq", "142e9"])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "NonFiniteResult: a result is not a finite number: inf\n"
 
@@ -451,6 +496,13 @@ class TestPartitionCommands:
     def test_depol_margin_requires_inputs(self):
         result = dispatch(["depol-margin", "--xpd-db", "19.30"])
         assert result.exit_code == 1
+
+    def test_depol_margin_without_cross_pol_input_is_a_usage_error(self):
+        result = dispatch(["depol-margin", "--xpd-db", "3"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr.startswith("usage: mmwprop depol-margin ")
+        assert ("mmwprop depol-margin: error: provide --cross-mean-db or both --vh-db "
+                "and --hv-db\n") in result.stderr
 
     def test_budget(self):
         payload = run_ok(["budget", "--refl-db", "7.25", "--part-db", "8.46"])

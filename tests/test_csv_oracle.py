@@ -17,6 +17,7 @@ import math
 import pytest
 
 from mmwprop.datasets import (
+    _BLOCK_ROWS,
     PATH_LOSS_COLUMNS,
     PATTERN_COLUMNS,
     REFLECTION_COLUMNS,
@@ -303,3 +304,78 @@ def test_save_then_load_round_trips_exactly(samples, csv_path):
     save_path_loss_csv(samples, csv_path)
     loaded = load_path_loss_csv(csv_path)
     assert repr(loaded) == repr(samples)
+
+
+# Files of about three blocks, for the block reader's boundaries. rx_id comes
+# last, so a row one cell short stops before a text cell.
+_B = _BLOCK_ROWS
+_BLOCK_COLUMNS = [c for c in PATH_LOSS_COLUMNS if c != "rx_id"] + ["rx_id"]
+_DEFECTS = {
+    "bad number": {"path_loss_db": "abc"},
+    "inf": {"tx_az_deg": "inf"},
+    "nan": {"freq_hz": "nan"},
+    "short row": "short",
+    "invariant": {"distance_m": "0.5"},
+}
+
+
+def _block_file(rows, defects):
+    """CSV text of ``rows`` data rows with blank lines mixed in; ``defects``
+    maps a data row (1-based) to the cells it replaces, or to "short"."""
+    lines = [",".join(_BLOCK_COLUMNS)]
+    for i in range(1, rows + 1):
+        cells = {"freq_hz": "142e9", "tx_id": f"tx{i % 3}", "rx_id": f"rx{i}",
+                 "distance_m": f"{1.5 + i % 20}", "environment": ("LOS", "NLOS")[i % 2],
+                 "tx_az_deg": f"{i % 36 * 10}", "tx_el_deg": "0", "rx_az_deg": f"{-i % 7}",
+                 "rx_el_deg": "0.5", "tx_pol": "VH"[i % 2], "rx_pol": "V",
+                 "path_loss_db": f"{80 + i * 0.25}"}
+        defect = defects.get(i, {})
+        if defect != "short":
+            cells.update(defect)
+        line = [cells[c] for c in _BLOCK_COLUMNS]
+        if defect == "short":
+            line.pop()
+        if i % 5 == 0:
+            lines.append("")
+        lines.append(",".join(line))
+    return "\n".join(lines + ["", ""])
+
+
+def _block_cases():
+    for rows in (3 * _B, 3 * _B + 5):
+        yield rows, {}
+        for at in (1, _B, _B + 1, 2 * _B, rows):
+            for defect in _DEFECTS.values():
+                yield rows, {at: defect}
+            if at + 2 <= rows:  # two bad rows in one block: the earlier row wins
+                yield rows, {at: _DEFECTS["invariant"], at + 2: _DEFECTS["bad number"]}
+        # finite cells whose sum overflows: the block takes the per-row loop and loads
+        yield rows, {_B + 3: {"path_loss_db": "1e308"}, _B + 4: {"path_loss_db": "1e308"}}
+
+
+def test_block_boundaries_agree_with_the_oracle(csv_path):
+    for rows, defects in _block_cases():
+        text = _block_file(rows, defects)
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        short = first_short_row(text, PATH_LOSS_COLUMNS, _PATH_LOSS_NUMERIC)
+        expected = expected_outcome(outcome(oracle_path_loss, csv_path), short)
+        assert outcome(load_path_loss_csv, csv_path) == expected, (rows, defects)
+
+
+def test_block_boundary_outcomes_are_the_ones_meant(csv_path):
+    """The cases above reach every block and fail where they should."""
+    csv_path.write_text(_block_file(3 * _B + 5, {}), encoding="utf-8", newline="")
+    assert len(load_path_loss_csv(csv_path)) == 3 * _B + 5
+    csv_path.write_text(_block_file(3 * _B, {2 * _B: _DEFECTS["invariant"],
+                                             2 * _B + 2: _DEFECTS["bad number"]}),
+                        encoding="utf-8", newline="")
+    with pytest.raises(InvariantViolationError, match=f"^data row {2 * _B}: distance_m"):
+        load_path_loss_csv(csv_path)
+    csv_path.write_text(_block_file(3 * _B, {3 * _B: "short"}), encoding="utf-8", newline="")
+    with pytest.raises(InvariantViolationError,
+                       match=f"^data row {3 * _B}: no cell for column 'rx_id'"):
+        load_path_loss_csv(csv_path)
+    csv_path.write_text(_block_file(3 * _B, {_B + 3: {"path_loss_db": "1e308"},
+                                             _B + 4: {"path_loss_db": "1e308"}}),
+                        encoding="utf-8", newline="")
+    assert [s.path_loss_db for s in load_path_loss_csv(csv_path)[_B + 2:_B + 4]] == [1e308] * 2
