@@ -25,7 +25,6 @@ from .partition import (
     partition_loss,
     power_budget,
     xpd_from_path_losses,
-    xpd_over_distances,
 )
 from .pathloss import CiModel, ci_path_loss_db, fit_ci, fspl_db, reduce_directional
 from .reflection import (
@@ -33,7 +32,6 @@ from .reflection import (
     estimate_permittivity_mmse,
     fit_linear_reflection,
     fresnel_gamma_perp,
-    fresnel_gamma_perp_magnitude,
     reflection_loss_db,
 )
 from .scattering import (

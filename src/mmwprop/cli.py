@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .datasets import (
     PATH_LOSS_COLUMNS,
@@ -208,8 +208,9 @@ def _cmd_depol_margin(args) -> dict:
         mean = args.cross_mean_db
     elif args.vh_db is not None and args.hv_db is not None:
         mean = (args.vh_db + args.hv_db) / 2.0
-    else:
-        args.error("provide --cross-mean-db or both --vh-db and --hv-db")
+    else:  # a usage error that argparse cannot express: one of two forms
+        build_command_parser("depol-margin").error(
+            "provide --cross-mean-db or both --vh-db and --hv-db")
     return {"margin_db": depolarization_margin(mean, args.xpd_db)}
 
 
@@ -300,111 +301,112 @@ def _cmd_validate(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parser / dispatch
+# The command table (each subcommand declared once), its parsers, dispatch
 # ---------------------------------------------------------------------------
+
+class _Option(NamedTuple):
+    """A flag and its ``add_argument`` keywords; ``type`` defaults to float."""
+    flag: str
+    type: Callable | None = float
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    nargs: int | None = None
+    metavar: tuple | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple
+    formats: bool = False  # takes --format json|csv
+
+    def parser_options(self) -> tuple:  # in the order its help lists them
+        return (*self.options, _OUTPUT, *((_FORMAT,) if self.formats else ()))
+
+
+_INPUT = _Option("--input", None, required=True)
+_OUTPUT = _Option("--output", None, help="write the payload to this file instead of stdout")
+_FORMAT = _Option("--format", None, "json", choices=("json", "csv"))
+_DS = DsParameters()  # the lobe defaults
+
+COMMANDS = {
+    "fresnel": _Command("Fresnel reflection coefficient and loss", _cmd_fresnel, (
+        _Option("--eps", required=True, help="relative permittivity"),
+        _Option("--angle", required=True, help="incidence angle, deg from normal"))),
+    "estimate-eps": _Command("MMSE permittivity from reflection CSV", _cmd_estimate_eps, (
+        _INPUT, _Option("--freq", help="keep only samples at this frequency, Hz"))),
+    "fit-linear": _Command("linear |gamma| vs angle fit from reflection CSV", _cmd_fit_linear, (
+        _INPUT, _Option("--freq"))),
+    "scatter-pattern": _Command("dual-lobe scattering + specular pattern", _cmd_scatter_pattern, (
+        _Option("--eps", required=True), _Option("--incident-angle", required=True),
+        _Option("--hpbw", default=8.0, help="antenna HPBW, deg"),
+        _Option("--s-coeff", default=_DS.s_coeff), _Option("--lambda-mix", default=_DS.lambda_mix),
+        _Option("--alpha-r", int, _DS.alpha_r), _Option("--alpha-i", int, _DS.alpha_i),
+        _Option("--step", default=10.0, help="sweep step, deg"),
+        _Option("--diffuse-sr", default=DEFAULT_DIFFUSE_SOLID_ANGLE_SR),
+        _Option("--spread-deg", default=DEFAULT_SPECULAR_SPREAD_DEG)), formats=True),
+    "backscatter": _Command("margin and smoothness from a pattern CSV", _cmd_backscatter, (
+        _INPUT, _Option("--incident-angle", required=True))),
+    "partition": _Command("free-space-corrected partition loss", _cmd_partition, (
+        _Option("--tx-power-dbm", required=True), _Option("--rx-power-dbm", required=True),
+        _Option("--distance-m", required=True), _Option("--freq", required=True),
+        _Option("--gains-dbi", nargs=2, metavar=("TX", "RX"),
+                help="antenna gains to subtract from the received power"))),
+    "xpd": _Command("cross-polarization discrimination", _cmd_xpd, (
+        _Option("--co-db", required=True), _Option("--cross-db", required=True))),
+    "depol-margin": _Command("cross-pol partition loss minus XPD", _cmd_depol_margin, (
+        _Option("--cross-mean-db"), _Option("--vh-db"), _Option("--hv-db"),
+        _Option("--xpd-db", required=True))),
+    "budget": _Command("reflected/transmitted/absorbed split", _cmd_budget, (
+        _Option("--refl-db", required=True), _Option("--part-db", required=True))),
+    "fspl": _Command("Friis free-space path loss", _cmd_fspl, (
+        _Option("--freq", required=True), _Option("--distance-m", required=True))),
+    "ci-eval": _Command("close-in model mean path loss", _cmd_ci_eval, (
+        _Option("--freq", required=True), _Option("--ple", required=True),
+        _Option("--sigma-db", default=0.0), _Option("--distance-m", required=True))),
+    "fit-ci": _Command("fit the close-in model to a path-loss CSV", _cmd_fit_ci, (
+        _INPUT, _Option("--freq", required=True),
+        _Option("--env", None, choices=("LOS", "NLOS", "NLOS_BEST")))),
+    "reduce-directional": _Command("LOS/NLOS split and NLOS-best picks",
+                                   _cmd_reduce_directional, (_INPUT,), formats=True),
+    "paper-tables": _Command("dump the embedded reference tables", _cmd_paper_tables, (
+        _Option("--table", None, choices=("I", "II", "III", "IV", "V")),)),
+    "validate": _Command("summarize a path-loss CSV", _cmd_validate, (_INPUT,)),
+}
+
+
+def _add_options(parser: _Parser, command: _Command) -> _Parser:
+    for option in command.parser_options():
+        parser.add_argument(option.flag, **dict(zip(option._fields[1:], option[1:])))
+    return parser
+
+
+def build_command_parser(name: str) -> _Parser:
+    """One subcommand's parser, the same as the one ``build_parser`` adds for it."""
+    return _add_options(_Parser(prog=f"mmwprop {name}"), COMMANDS[name])
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mmwprop", description=__doc__)
-    subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    subs.required = True
-
-    sub = subs.add_parser("fresnel", help="Fresnel reflection coefficient and loss")
-    sub.add_argument("--eps", type=float, required=True, help="relative permittivity")
-    sub.add_argument("--angle", type=float, required=True,
-                     help="incidence angle, deg from normal")
-    sub.set_defaults(handler=_cmd_fresnel)
-
-    sub = subs.add_parser("estimate-eps", help="MMSE permittivity from reflection CSV")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float, help="keep only samples at this frequency, Hz")
-    sub.set_defaults(handler=_cmd_estimate_eps)
-
-    sub = subs.add_parser("fit-linear", help="linear |gamma| vs angle fit from reflection CSV")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float)
-    sub.set_defaults(handler=_cmd_fit_linear)
-
-    sub = subs.add_parser("scatter-pattern", help="dual-lobe scattering + specular pattern")
-    sub.add_argument("--eps", type=float, required=True)
-    sub.add_argument("--incident-angle", type=float, required=True)
-    sub.add_argument("--hpbw", type=float, default=8.0, help="antenna HPBW, deg")
-    defaults = DsParameters()
-    sub.add_argument("--s-coeff", type=float, default=defaults.s_coeff)
-    sub.add_argument("--lambda-mix", type=float, default=defaults.lambda_mix)
-    sub.add_argument("--alpha-r", type=int, default=defaults.alpha_r)
-    sub.add_argument("--alpha-i", type=int, default=defaults.alpha_i)
-    sub.add_argument("--step", type=float, default=10.0, help="sweep step, deg")
-    sub.add_argument("--diffuse-sr", type=float, default=DEFAULT_DIFFUSE_SOLID_ANGLE_SR)
-    sub.add_argument("--spread-deg", type=float, default=DEFAULT_SPECULAR_SPREAD_DEG)
-    sub.set_defaults(handler=_cmd_scatter_pattern)
-
-    sub = subs.add_parser("backscatter", help="margin and smoothness from a pattern CSV")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--incident-angle", type=float, required=True)
-    sub.set_defaults(handler=_cmd_backscatter)
-
-    sub = subs.add_parser("partition", help="free-space-corrected partition loss")
-    sub.add_argument("--tx-power-dbm", type=float, required=True)
-    sub.add_argument("--rx-power-dbm", type=float, required=True)
-    sub.add_argument("--distance-m", type=float, required=True)
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--gains-dbi", type=float, nargs=2, metavar=("TX", "RX"),
-                     help="antenna gains to subtract from the received power")
-    sub.set_defaults(handler=_cmd_partition)
-
-    sub = subs.add_parser("xpd", help="cross-polarization discrimination")
-    sub.add_argument("--co-db", type=float, required=True)
-    sub.add_argument("--cross-db", type=float, required=True)
-    sub.set_defaults(handler=_cmd_xpd)
-
-    sub = subs.add_parser("depol-margin", help="cross-pol partition loss minus XPD")
-    sub.add_argument("--cross-mean-db", type=float)
-    sub.add_argument("--vh-db", type=float)
-    sub.add_argument("--hv-db", type=float)
-    sub.add_argument("--xpd-db", type=float, required=True)
-    sub.set_defaults(handler=_cmd_depol_margin, error=sub.error)
-
-    sub = subs.add_parser("budget", help="reflected/transmitted/absorbed split")
-    sub.add_argument("--refl-db", type=float, required=True)
-    sub.add_argument("--part-db", type=float, required=True)
-    sub.set_defaults(handler=_cmd_budget)
-
-    sub = subs.add_parser("fspl", help="Friis free-space path loss")
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--distance-m", type=float, required=True)
-    sub.set_defaults(handler=_cmd_fspl)
-
-    sub = subs.add_parser("ci-eval", help="close-in model mean path loss")
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--ple", type=float, required=True)
-    sub.add_argument("--sigma-db", type=float, default=0.0)
-    sub.add_argument("--distance-m", type=float, required=True)
-    sub.set_defaults(handler=_cmd_ci_eval)
-
-    sub = subs.add_parser("fit-ci", help="fit the close-in model to a path-loss CSV")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--freq", type=float, required=True)
-    sub.add_argument("--env", choices=("LOS", "NLOS", "NLOS_BEST"))
-    sub.set_defaults(handler=_cmd_fit_ci)
-
-    sub = subs.add_parser("reduce-directional", help="LOS/NLOS split and NLOS-best picks")
-    sub.add_argument("--input", required=True)
-    sub.set_defaults(handler=_cmd_reduce_directional)
-
-    sub = subs.add_parser("paper-tables", help="dump the embedded reference tables")
-    sub.add_argument("--table", choices=("I", "II", "III", "IV", "V"))
-    sub.set_defaults(handler=_cmd_paper_tables)
-
-    sub = subs.add_parser("validate", help="summarize a path-loss CSV")
-    sub.add_argument("--input", required=True)
-    sub.set_defaults(handler=_cmd_validate)
-
-    # added last, so each subcommand's help lists them after its own options
-    for name, sub in subs.choices.items():
-        sub.add_argument("--output", help="write the payload to this file instead of stdout")
-        if name in ("scatter-pattern", "reduce-directional"):
-            sub.add_argument("--format", choices=("json", "csv"), default="json")
+    subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND", required=True)
+    for name, command in COMMANDS.items():
+        _add_options(subs.add_parser(name, help=command.help), command)
     return parser
+
+
+def _parse(argv):
+    """The subcommand's table entry and its parsed options.
+
+    A known subcommand is parsed by its own parser alone; anything else, and any
+    argument left over, goes through the full parser, whose messages are the reference."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return COMMANDS[argv[0]], args
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command], args
 
 
 def _error_name(exc: BaseException) -> str:
@@ -415,8 +417,8 @@ def _error_name(exc: BaseException) -> str:
 
 def dispatch(argv) -> CommandResult:
     try:
-        args = build_parser().parse_args(argv)
-        data = args.handler(args)
+        command, args = _parse(argv)
+        data = command.handler(args)
         if isinstance(data, tuple):
             payload = _csv_payload(*data)
         else:

@@ -12,7 +12,7 @@ is flagged rather than rejected, since measurement noise can produce it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .datasets import _POLARIZATIONS, Polarization, _member
 from .errors import InvariantViolationError, OverUnityBudgetError
@@ -51,27 +51,6 @@ def partition_loss(measurement: LinkPowerMeasurement) -> PartitionLossResult:
 def xpd_from_path_losses(pl_cross_db: float, pl_co_db: float) -> float:
     """Cross-polarization discrimination: cross-pol minus co-pol path loss."""
     return pl_cross_db - pl_co_db
-
-
-class XpdSummary(NamedTuple):
-    mean_db: float
-    spread_db: float  # max - min across distances
-    per_distance_db: tuple[float, ...]
-
-
-def xpd_over_distances(pl_cross_db: Sequence[float],
-                       pl_co_db: Sequence[float]) -> XpdSummary:
-    """Per-distance XPD values with their mean and spread."""
-    if len(pl_cross_db) != len(pl_co_db):
-        raise InvariantViolationError("cross- and co-polarized lists differ in length")
-    if not pl_cross_db:
-        raise InvariantViolationError("need at least one distance")
-    values = tuple(xpd_from_path_losses(c, co) for c, co in zip(pl_cross_db, pl_co_db))
-    return XpdSummary(
-        mean_db=sum(values) / len(values),
-        spread_db=max(values) - min(values),
-        per_distance_db=values,
-    )
 
 
 def depolarization_margin(cross_pol_partition_mean_db: float, xpd_db: float) -> float:

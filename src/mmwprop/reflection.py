@@ -45,13 +45,9 @@ def fresnel_gamma_perp(incident_angle_deg: float, eps_r: float) -> float:
     return (math.cos(theta) - root) / (math.cos(theta) + root)
 
 
-def fresnel_gamma_perp_magnitude(incident_angle_deg: float, eps_r: float) -> float:
-    return abs(fresnel_gamma_perp(incident_angle_deg, eps_r))
-
-
 def reflection_loss_db(incident_angle_deg: float, eps_r: float) -> float:
     """Reflection loss -20*log10(|gamma_perp|), a non-negative dB number."""
-    magnitude = fresnel_gamma_perp_magnitude(incident_angle_deg, eps_r)
+    magnitude = abs(fresnel_gamma_perp(incident_angle_deg, eps_r))
     if magnitude == 0.0:
         raise PerfectTransmissionError(
             f"|gamma_perp| = 0 at {incident_angle_deg} deg, eps_r = {eps_r}; "
@@ -71,12 +67,11 @@ def _single_frequency(samples: Sequence[ReflectionSample]) -> float:
     return freq
 
 
-def _sample_terms(samples: Sequence[ReflectionSample],
-                  eps_r: float = EPS_SEARCH_RANGE[0]) -> list[tuple[float, float, float]]:
-    """(measured |gamma_perp|^2, cos(theta), sin^2(theta)) per sample, geometry checked."""
+def _sample_terms(samples: Sequence[ReflectionSample]) -> list[tuple[float, float, float]]:
+    """(measured |gamma_perp|^2, cos(theta), sin^2(theta)) per sample, angles checked."""
     terms = []
     for s in samples:
-        _check_geometry(s.incident_angle_deg, eps_r)
+        _check_geometry(s.incident_angle_deg, EPS_SEARCH_RANGE[0])
         theta = math.radians(s.incident_angle_deg)
         terms.append((10.0 ** (-s.reflection_loss_db / 10.0),
                       math.cos(theta), math.sin(theta) ** 2))
@@ -95,11 +90,6 @@ def _mse(eps_r, terms, sqrt=math.sqrt):
         gamma = (cos_t - root) / (cos_t + root)
         total = total + (measured - gamma ** 2) ** 2
     return total / len(terms)
-
-
-def mmse_objective(eps_r: float, samples: Sequence[ReflectionSample]) -> float:
-    """Mean squared error between measured and modeled |gamma_perp|^2."""
-    return _mse(eps_r, _sample_terms(samples, eps_r))
 
 
 class PermittivityEstimate(NamedTuple):

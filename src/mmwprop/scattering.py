@@ -66,15 +66,6 @@ _DB_PER_LN = 10.0 / math.log(10.0)  # 10 log10(x) = _DB_PER_LN * ln(x)
 _ANGLE_TOL_DEG = 1e-6
 
 
-def arc_to_signed(arc_angle_deg: float) -> float:
-    """Arc position along the wall (10..170 deg) to signed normal-relative angle."""
-    return arc_angle_deg - 90.0
-
-
-def signed_to_arc(observation_angle_deg: float) -> float:
-    return observation_angle_deg + 90.0
-
-
 class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix", float),
                                                ("alpha_r", int), ("alpha_i", int)])):
     """Dual-lobe directive scattering parameters.

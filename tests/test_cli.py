@@ -1,15 +1,15 @@
-import argparse
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from mmwprop.cli import _csv_payload, build_parser, dispatch
+from mmwprop.cli import COMMANDS, _csv_payload, build_command_parser, build_parser, dispatch
 from mmwprop.datasets import load_path_loss_csv, save_path_loss_csv
 from mmwprop.errors import NonFiniteResultError
 from mmwprop.pathloss import fspl_db
@@ -164,15 +164,12 @@ class TestExitCodes:
 
 
 def _options():
-    """(subcommand, action) for every option of every subcommand."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return [(name, action) for name, sub in subparsers.choices.items()
-            for action in sub._actions if action.option_strings]
+    """(subcommand, option) for every option the command table declares."""
+    return [(name, option) for name, command in COMMANDS.items()
+            for option in command.parser_options()]
 
 
-_FLOAT_OPTIONS = [(name, a.option_strings[0], a.nargs or 1)
-                  for name, a in _options() if a.type is float]
+_FLOAT_OPTIONS = [(name, o.flag, o.nargs or 1) for name, o in _options() if o.type is float]
 
 
 class TestFiniteFloatArguments:
@@ -258,9 +255,9 @@ class TestNegativeNumbers:
 
     def test_every_subcommand_reads_the_exponent_form(self):
         # the fix sets argparse's private _negative_number_matcher on every parser
-        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
-        for name, sub in subparsers.choices.items():
-            assert sub._negative_number_matcher.match("-1e3"), name
+        assert build_parser()._negative_number_matcher.match("-1e3")
+        for name in COMMANDS:
+            assert build_command_parser(name)._negative_number_matcher.match("-1e3"), name
         result = dispatch(["fspl", "--freq", "28e9", "--distance-m", "-1e3"])
         assert result.stderr == "InvariantViolation: distance_m must be > 0\n"
 
@@ -716,10 +713,7 @@ _GOLDEN_RUNS = {
     "fit-ci-NLOS_BEST.json": (["fit-ci", "--freq", "142e9", "--env", "NLOS_BEST"],
                               "path_loss_csv"),
     "help.txt": (["-h"], None),
-    **{f"help-{name}.txt": ([name, "-h"], None) for name in (
-        "fresnel", "estimate-eps", "fit-linear", "scatter-pattern", "backscatter", "partition",
-        "xpd", "depol-margin", "budget", "fspl", "ci-eval", "fit-ci", "reduce-directional",
-        "paper-tables", "validate")},
+    **{f"help-{name}.txt": ([name, "-h"], None) for name in COMMANDS},
 }
 
 
@@ -737,6 +731,19 @@ def test_output_matches_golden(name, request, monkeypatch):
     if fixture:
         argv = [*argv, "--input", str(request.getfixturevalue(fixture))]
     assert dispatch(argv) == (0, (GOLDENS / name).read_text(encoding="utf-8"), "")
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_section_names_the_table():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == list(COMMANDS)
+    assert all(line.startswith("mmwprop ") for line in block.splitlines())
+    sentence = re.search(r"`--format json\|csv` applies to([^.]*)\.", text).group(1)
+    assert re.findall(r"`([a-z-]+)`", sentence) == [
+        name for name, command in COMMANDS.items() if command.formats]
 
 
 def test_saved_path_loss_csv_matches_golden(path_loss_csv, tmp_path):

@@ -1,13 +1,14 @@
 """The CLI contract under fuzzed input, in process through ``dispatch``.
 
-``scatter-pattern`` gets argv drawn from its own argparse spec, and
-``backscatter`` gets mutated pattern-CSV text. Every case must exit 0, 1 or
-2 without an exception escaping ``dispatch``, print strict JSON (or a CSV of
-finite numbers) on success and nothing on failure, and give the same result
-when run again.
+Every subcommand gets argv drawn from its entry in the command table, and
+``backscatter`` also gets mutated pattern-CSV text. Every case must exit 0,
+1 or 2 without an exception escaping ``dispatch``. On success it prints
+strict JSON, a CSV whose numbers are finite, or the help; on failure it
+prints nothing to stdout. A second run gives the same result. A last
+property checks that parsing with one subcommand's parser gives what the
+full parser gives.
 """
 
-import argparse
 import csv
 import io
 import json
@@ -16,8 +17,8 @@ import re
 
 import pytest
 
-from mmwprop.cli import build_parser, dispatch
-from mmwprop.datasets import PATTERN_COLUMNS
+from mmwprop.cli import COMMANDS, _Help, _parse, _UsageError, build_parser, dispatch
+from mmwprop.datasets import PATH_LOSS_COLUMNS, PATTERN_COLUMNS
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -29,6 +30,13 @@ def _reject(constant):
     raise ValueError(f"non-finite JSON number {constant}")
 
 
+def _finite_or_text(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:  # an id, an environment or a polarization
+        return True
+
+
 def assert_contract(argv):
     result = dispatch(argv)
     assert result.exit_code in (0, 1, 2), result
@@ -36,9 +44,9 @@ def assert_contract(argv):
         assert result.stderr == ""
         if result.stdout.startswith("{"):
             json.loads(result.stdout, parse_constant=_reject)
-        else:
+        elif not result.stdout.startswith("usage: mmwprop "):  # the help text
             rows = list(csv.reader(io.StringIO(result.stdout)))
-            assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+            assert all(_finite_or_text(cell) for row in rows[1:] for cell in row)
     else:
         assert result.stdout == ""
         if result.exit_code == 1:
@@ -48,20 +56,14 @@ def assert_contract(argv):
     assert dispatch(argv) == result
 
 
-def _subcommand_actions(name):
-    """The options of one subcommand, less help and ``--output``."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return [a for a in subparsers.choices[name]._actions
-            if a.option_strings and a.dest not in ("help", "output")]
-
-
 _EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                    1.7976931348623157e308, -1.7976931348623157e308, 1e-6, 1e6)
 _ANY_FLOAT = st.one_of(st.sampled_from(_EXTREME_FLOATS),
                        st.floats(allow_nan=False, allow_infinity=False)).map(repr)
 _BAD_FLOAT = st.sampled_from(("inf", "-inf", "nan", "1e400", "-1e400", "abc", "", "1,5", "0x10"))
 _BAD_INT = st.sampled_from(("1000001", str(10 ** 23), "2.5", "4.0", "x", "-1"))
+_STRAY = st.sampled_from(("--zz", "--zz=1", "stray", "--", "-1e3", "-h", "--help",
+                          "--tx-distance", "--rx-distance"))
 
 
 def _mostly(plausible, extreme, bad):
@@ -70,33 +72,63 @@ def _mostly(plausible, extreme, bad):
         lambda k: plausible if k < 16 else extreme if k < 19 else bad)
 
 
-def _value(action):
+def _value(option):
     """Option text drawn from the option's type, default and choices."""
-    if action.choices:
-        return _mostly(st.sampled_from(action.choices), st.just("xml"), st.just(""))
-    if action.type is int:
-        return _mostly(st.integers(1, 2 * action.default).map(str),
+    if option.choices:
+        return _mostly(st.sampled_from(option.choices), st.just("xml"), st.just(""))
+    if option.type is None:  # a path: placeholders that the tests replace with real paths
+        readable = ("{reflection}", "{path_loss}", "{pattern}") if option.required else ("{out}",)
+        return _mostly(st.sampled_from(readable), st.just("{dir}"), st.just("{missing}"))
+    if option.type is int:
+        return _mostly(st.integers(1, 2 * option.default).map(str),
                        st.integers().map(str), _BAD_INT)
-    if action.default is None:
+    if option.default is None:
         plausible = st.floats(0.0, 89.0).map(repr)
+        if option.flag == "--freq":  # the frequency of the test files, too
+            plausible = st.one_of(st.just("142e9"), plausible)
     else:
-        plausible = st.one_of(st.just(repr(action.default)),
-                              st.floats(0.0, 2.0 * action.default).map(repr))
+        plausible = st.one_of(st.just(repr(option.default)),
+                              st.floats(0.0, 2.0 * option.default).map(repr))
     return _mostly(plausible, _ANY_FLOAT, _BAD_FLOAT)
 
 
-_SCATTER_ACTIONS = _subcommand_actions("scatter-pattern")
-
-
 @st.composite
-def scatter_argv(draw):
-    argv = ["scatter-pattern"]
-    for action in draw(st.permutations(_SCATTER_ACTIONS)):
-        if draw(st.integers(0, 9)) < (9 if action.required else 4):
-            argv += [action.option_strings[-1], draw(_value(action))]
-    if draw(st.integers(0, 19)) == 19:  # options the model no longer takes
-        argv += [draw(st.sampled_from(("--tx-distance", "--rx-distance"))), "1.5"]
+def command_argv(draw, name):
+    """argv for one subcommand, from its table entry: each required option
+    nine times in ten, each other option four in ten, and one time in ten a
+    stray token or a help flag at any place after the name."""
+    argv = [name]
+    for option in draw(st.permutations(COMMANDS[name].parser_options())):
+        if draw(st.integers(0, 9)) < (9 if option.required else 4):
+            argv += [option.flag, *(draw(_value(option)) for _ in range(option.nargs or 1))]
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_STRAY))
     return argv
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Placeholder -> path: one readable file of each CSV kind, and paths that fail."""
+    root = tmp_path_factory.mktemp("fuzz-files")
+    texts = {
+        "reflection": "freq_hz,incident_angle_deg,reflection_loss_db\n"
+                      "142e9,10,7.4\n142e9,30,7.9\n142e9,60,5.1\n142e9,80,1.4\n",
+        "path_loss": ",".join(PATH_LOSS_COLUMNS) + "\n" + "".join(
+            f"142e9,tx1,rx{i},{d},{env},0,0,0,0,V,V,{75 + 25 * d ** 0.5}\n"
+            for i, (d, env) in enumerate(((1.5, "LOS"), (3.0, "NLOS"), (6.0, "NLOS")))),
+        "pattern": ",".join(PATTERN_COLUMNS) + "\n-30,-30\n0,-25\n30,0\n60,-28\n",
+    }
+    paths = {}
+    for kind, text in texts.items():
+        paths["{%s}" % kind] = root / f"{kind}.csv"
+        paths["{%s}" % kind].write_text(text, encoding="utf-8")
+    paths.update({"{missing}": root / "no-such-dir" / "x.csv", "{dir}": root,
+                  "{out}": root / "out.txt"})
+    return {placeholder: str(path) for placeholder, path in paths.items()}
+
+
+def _with_files(argv, files):
+    return [files.get(arg, arg) for arg in argv]
 
 
 _BASE = ["scatter-pattern", "--eps", "6.4", "--incident-angle", "30"]
@@ -108,9 +140,18 @@ _BASE = ["scatter-pattern", "--eps", "6.4", "--incident-angle", "30"]
 @hypothesis.example(argv=[*_BASE, "--tx-distance", "0"])
 @hypothesis.example(argv=[*_BASE, "--hpbw", "1e-06", "--spread-deg", "0", "--s-coeff", "0"])
 @hypothesis.example(argv=[*_BASE, "--eps", "1", "--s-coeff", "0"])
-@hypothesis.given(argv=scatter_argv())
-def test_scatter_pattern_keeps_the_contract(argv):
-    assert_contract(argv)
+@hypothesis.given(argv=command_argv("scatter-pattern"))
+def test_scatter_pattern_keeps_the_contract(argv, files):
+    assert_contract(_with_files(argv, files))
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_subcommand_keeps_the_contract(name, files):
+    @hypothesis.settings(max_examples=40)
+    @hypothesis.given(argv=command_argv(name))
+    def check(argv):
+        assert_contract(_with_files(argv, files))
+    check()
 
 
 _ANGLE = _mostly(st.floats(-80.0, 80.0).map(repr), _ANY_FLOAT, _BAD_FLOAT)
@@ -142,3 +183,38 @@ def pattern_path(tmp_path_factory):
 def test_backscatter_keeps_the_contract(text, angle, pattern_path):
     pattern_path.write_text(text, encoding="utf-8", newline="")
     assert_contract(["backscatter", "--input", str(pattern_path), "--incident-angle", angle])
+
+
+def _tokens(name):
+    """Argument text for one subcommand: its flags, whole, abbreviated and as
+    ``--flag=value``, values of every kind, and words no parser knows."""
+    flags = [o.flag for o in COMMANDS[name].parser_options()]
+    values = ["1.5", "-1e3", "30", "LOS", "json", "csv", "II", "x", ""]
+    return st.one_of(st.sampled_from(flags), st.sampled_from(values), _STRAY,
+                     st.sampled_from(flags).map(lambda flag: flag[:4]),
+                     st.tuples(st.sampled_from(flags), st.sampled_from(values))
+                     .map("=".join))
+
+
+_ARGV = st.one_of(
+    st.sampled_from(list(COMMANDS)).flatmap(
+        lambda name: st.lists(_tokens(name), max_size=8).map(lambda rest: [name, *rest])),
+    st.lists(st.sampled_from(["-h", "--", "nosuch", "--zz", "fspl", "--freq", "1"]),
+             max_size=3))
+
+
+def _outcome(parse, argv):
+    try:
+        args = parse(argv)
+    except (_Help, _UsageError) as err:
+        return type(err), str(err)
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.example(argv=["fspl", "--freq", "28e9", "--distance-m", "1", "stray"])
+@hypothesis.example(argv=["fspl", "--freq", "28e9", "--distance-m", "1", "--"])
+@hypothesis.example(argv=["xpd", "--co", "5", "--cross-db=5", "-h"])
+@hypothesis.given(argv=_ARGV)
+def test_one_command_parse_agrees_with_the_full_parser(argv):
+    assert _outcome(lambda a: _parse(a)[1], argv) == _outcome(build_parser().parse_args, argv)

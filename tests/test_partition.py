@@ -11,7 +11,6 @@ from mmwprop.partition import (
     partition_loss,
     power_budget,
     xpd_from_path_losses,
-    xpd_over_distances,
 )
 from mmwprop.pathloss import fspl_db
 from mmwprop.reflection import reflection_loss_db
@@ -66,20 +65,6 @@ class TestXpd:
         for offset in (-40.0, 3.5, 60.0):
             assert xpd_from_path_losses(110.0 + offset, 82.0 + offset) == \
                 pytest.approx(base, abs=1e-12)
-
-    def test_mean_and_spread_across_distances(self):
-        # distance sweep with per-distance XPD spread under 1 dB
-        co = [80.0, 82.1, 84.0, 85.4, 86.9]
-        cross = [124.2, 126.0, 128.3, 129.6, 131.4]
-        summary = xpd_over_distances(cross, co)
-        assert summary.spread_db <= 1.0
-        assert summary.mean_db == pytest.approx(
-            sum(c - o for c, o in zip(cross, co)) / 5, abs=1e-12)
-        assert len(summary.per_distance_db) == 5
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            xpd_over_distances([1.0, 2.0], [1.0])
 
 
 class TestDepolarizationMargin:

@@ -34,7 +34,6 @@ from mmwprop.partition import (
     LinkPowerMeasurement,
     PartitionLossResult,
     PowerBudget,
-    XpdSummary,
 )
 from mmwprop.pathloss import CiModel, DirectionalReduction
 from mmwprop.reflection import LinearReflectionFit, PermittivityEstimate
@@ -66,7 +65,6 @@ EXAMPLES = {
     LinkPowerMeasurement: dict(tx_power_dbm=0.0, rx_power_dbm=-95.26, distance_m=3.0,
                                freq_hz=142e9, tx_pol=H, rx_pol=V),
     PartitionLossResult: dict(loss_db=-0.5, negative_loss=True),
-    XpdSummary: dict(mean_db=44.2, spread_db=0.3, per_distance_db=(44.0, 44.3)),
     PowerBudget: dict(reflected_fraction=0.25, transmitted_fraction=0.5,
                       absorbed_fraction=0.25),
     CiModel: dict(freq_hz=28e9, ple=1.7, sigma_db=2.5, reference_distance_m=1.0),
@@ -77,6 +75,10 @@ EXAMPLES = {
     ScatterGeometry: dict(incident_angle_deg=30.0, observation_angle_deg=-40.0),
     ScatterPatternPoint: dict(observation_angle_deg=30.0, relative_power_db=-3.5),
     CommandResult: dict(exit_code=0, stdout="{}\n", stderr=""),
+    cli._Option: dict(flag="--gains-dbi", type=float, default=None, required=False,
+                      choices=None, nargs=2, metavar=("TX", "RX"), help="antenna gains"),
+    cli._Command: dict(help="Friis free-space path loss", handler=cli._cmd_fspl,
+                       options=(cli._Option("--freq", required=True),), formats=False),
 }
 
 # Fields whose constructor argument may be left out, with their defaults.
@@ -84,6 +86,9 @@ DEFAULTS = {
     LinkPowerMeasurement: dict(tx_pol=V, rx_pol=V),
     CiModel: dict(reference_distance_m=1.0),
     DsParameters: dict(s_coeff=0.4, lambda_mix=0.9, alpha_r=4, alpha_i=4),
+    cli._Option: dict(type=float, default=None, required=False, choices=None, nargs=None,
+                      metavar=None, help=None),
+    cli._Command: dict(formats=False),
 }
 
 RECORDS = list(EXAMPLES)

@@ -8,17 +8,15 @@ from mmwprop.errors import (
     MissingSpecularAngleError,
     OneSidedPatternError,
 )
-from mmwprop.reflection import fresnel_gamma_perp_magnitude
+from mmwprop.reflection import fresnel_gamma_perp
 from mmwprop.scattering import (
     DsParameters,
     ScatterGeometry,
     ScatterPatternPoint,
-    arc_to_signed,
     backscatter_margin,
     classify_smooth,
     ds_normalization,
     predict_pattern,
-    signed_to_arc,
     sweep_geometries,
 )
 
@@ -132,7 +130,7 @@ class TestPredictPattern:
         def absolute_peak(ti):
             geoms = sweep_geometries(ti)
             params = DsParameters()
-            gamma_sq = fresnel_gamma_perp_magnitude(ti, eps) ** 2
+            gamma_sq = fresnel_gamma_perp(ti, eps) ** 2
             scattered = (params.s_coeff ** 2 * math.cos(math.radians(ti))
                          * ds_pattern_value(ti, 180.0, ti, params)
                          / ds_normalization(params, ti) * 0.01)
@@ -200,7 +198,7 @@ class TestPredictPattern:
         for _ in range(30):
             ti = float(rng.uniform(5.0, 80.0))
             eps = float(rng.uniform(2.0, 10.0))
-            gamma = fresnel_gamma_perp_magnitude(ti, eps)
+            gamma = abs(fresnel_gamma_perp(ti, eps))
             params = DsParameters(
                 s_coeff=float(rng.uniform(0.0, 1.0)) * gamma,
                 lambda_mix=float(rng.uniform(0.5, 1.0)),
@@ -269,13 +267,6 @@ class TestClassifySmooth:
 
 
 class TestGeometryAndConversions:
-    def test_arc_conversions_round_trip(self):
-        assert arc_to_signed(90.0) == 0.0
-        assert arc_to_signed(120.0) == 30.0
-        assert signed_to_arc(-80.0) == 10.0
-        for arc in (10.0, 55.0, 170.0):
-            assert signed_to_arc(arc_to_signed(arc)) == arc
-
     def test_observation_angle_limited_to_arc(self):
         with pytest.raises(InvariantViolationError):
             ScatterGeometry(30.0, 85.0)
