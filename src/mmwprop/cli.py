@@ -17,6 +17,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from .datasets import (
+    CLEAR_GLASS,
+    DRYWALL,
     PATH_LOSS_COLUMNS,
     PATTERN_COLUMNS,
     load_path_loss_csv,
@@ -282,8 +284,8 @@ def _cmd_paper_tables(args) -> dict:
             for s in data.sounders
         ],
         "II": [s._asdict() for s in data.reflection],
-        "III": _partition_table(data, "clear_glass"),
-        "IV": _partition_table(data, "drywall"),
+        "III": _partition_table(data, CLEAR_GLASS),
+        "IV": _partition_table(data, DRYWALL),
         "V": [r._asdict() for r in data.ci_fits],
     }
     return {args.table: tables[args.table]} if args.table else tables

@@ -14,26 +14,21 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .datasets import _POLARIZATIONS, Polarization, _member
 from .errors import InvariantViolationError, OverUnityBudgetError
 from .pathloss import fspl_db
 
 
 class LinkPowerMeasurement(NamedTuple("LinkPowerMeasurement", [
         ("tx_power_dbm", float), ("rx_power_dbm", float), ("distance_m", float),
-        ("freq_hz", float), ("tx_pol", Polarization), ("rx_pol", Polarization)])):
+        ("freq_hz", float)])):
     __slots__ = ()
 
-    def __new__(cls, tx_power_dbm, rx_power_dbm, distance_m, freq_hz,
-                tx_pol=Polarization.V, rx_pol=Polarization.V):
-        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
-        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
+    def __new__(cls, tx_power_dbm, rx_power_dbm, distance_m, freq_hz):
         if not distance_m > 0:
             raise InvariantViolationError("distance_m must be > 0")
         if not freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
-        return tuple.__new__(cls, (tx_power_dbm, rx_power_dbm, distance_m, freq_hz,
-                                   tx_pol, rx_pol))
+        return tuple.__new__(cls, (tx_power_dbm, rx_power_dbm, distance_m, freq_hz))
 
 
 class PartitionLossResult(NamedTuple):

@@ -41,25 +41,24 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
     return 20.0 * math.log10(ratio)
 
 
-class CiModel(NamedTuple("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float),
-                                     ("reference_distance_m", float)])):
+class CiModel(NamedTuple("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float)])):
     __slots__ = ()
 
-    def __new__(cls, freq_hz, ple, sigma_db, reference_distance_m=REFERENCE_DISTANCE_M):
+    def __new__(cls, freq_hz, ple, sigma_db):
         if not ple > 0:
             raise InvariantViolationError("ple must be > 0")
         if not sigma_db >= 0:
             raise InvariantViolationError("sigma_db must be >= 0")
-        return tuple.__new__(cls, (freq_hz, ple, sigma_db, reference_distance_m))
+        return tuple.__new__(cls, (freq_hz, ple, sigma_db))
 
 
 def ci_path_loss_db(model: CiModel, distance_m: float) -> float:
     """Mean CI path loss at distance_m; sigma is metadata, not added here."""
-    if distance_m < model.reference_distance_m:
+    if distance_m < REFERENCE_DISTANCE_M:
         raise BelowReferenceDistanceError(
-            f"distance {distance_m} m is below the {model.reference_distance_m} m reference")
-    return (fspl_db(model.freq_hz, model.reference_distance_m)
-            + 10.0 * model.ple * math.log10(distance_m / model.reference_distance_m))
+            f"distance {distance_m} m is below the {REFERENCE_DISTANCE_M} m reference")
+    return (fspl_db(model.freq_hz, REFERENCE_DISTANCE_M)
+            + 10.0 * model.ple * math.log10(distance_m / REFERENCE_DISTANCE_M))
 
 
 def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:

@@ -13,6 +13,7 @@ via |gamma|^2 = 10^(-loss_db / 10) (power ratio).
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .datasets import ReflectionSample, same_freq
@@ -78,18 +79,26 @@ def _sample_terms(samples: Sequence[ReflectionSample]) -> list[tuple[float, floa
     return terms
 
 
-def _mse(eps_r, terms, sqrt=math.sqrt):
-    """Mean squared |gamma_perp|^2 error at eps_r, a float or a numpy array.
+def _mse(eps_r: float, terms: Sequence[tuple[float, float, float]]) -> float:
+    """Mean squared |gamma_perp|^2 error at eps_r over _sample_terms.
 
-    Arrays need ``sqrt=numpy.sqrt``. Samples are summed in order, so a float
-    eps_r gives the same bits as squaring fresnel_gamma_perp sample by sample.
+    Samples are summed in order, so this gives the same bits as squaring
+    fresnel_gamma_perp sample by sample.
     """
     total = 0.0
     for measured, cos_t, sin2 in terms:
-        root = sqrt(eps_r - sin2)
+        root = math.sqrt(eps_r - sin2)
         gamma = (cos_t - root) / (cos_t + root)
-        total = total + (measured - gamma ** 2) ** 2
+        total += (measured - gamma ** 2) ** 2
     return total / len(terms)
+
+
+def _inverted_permittivity(measured: float, cos_t: float, sin2: float) -> float:
+    """The eps_r whose modeled |gamma_perp|^2 equals the measured one; inf at 0 dB."""
+    r = math.sqrt(measured)
+    if r >= 1.0:
+        return math.inf
+    return (cos_t * (1.0 + r) / (1.0 - r)) ** 2 + sin2
 
 
 class PermittivityEstimate(NamedTuple):
@@ -119,8 +128,12 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     """MMSE estimate of eps_r from measured reflection losses at one frequency.
 
     Minimizes the squared error over |gamma_perp|^2. The search brackets the
-    minimum on a 300-point grid over eps_r in [1, 30], evaluated as one numpy
-    array, then refines it by golden-section search to a 1e-4 tolerance.
+    first minimum of a 300-point grid over eps_r in [1, 30], then refines it
+    by golden-section search to a 1e-4 tolerance. Each sample's modeled
+    |gamma_perp|^2 rises with eps_r, so its error term falls until the
+    sample's inverted permittivity eps_k and rises after it. The grid is
+    therefore evaluated only between the smallest and largest eps_k, and
+    beyond them only where rounding could let a point tie the best.
     Raises EstimateAtBoundError when the minimum lies at either end of [1, 30].
     """
     if len(samples) < 2:
@@ -128,13 +141,26 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     _single_frequency(samples)
     terms = _sample_terms(samples)
 
-    import numpy as np
     lo, hi = EPS_SEARCH_RANGE
-    step = (hi - lo) / (_SEARCH_GRID_POINTS - 1)
-    grid = lo + np.arange(_SEARCH_GRID_POINTS) * step
-    best = int(np.argmin(_mse(grid, terms, np.sqrt)))
-    bracket_lo = float(grid[max(best - 1, 0)])
-    bracket_hi = float(grid[min(best + 1, _SEARCH_GRID_POINTS - 1)])
+    last = _SEARCH_GRID_POINTS - 1
+    step = (hi - lo) / last
+    at = cache(lambda i: _mse(lo + i * step, terms))
+    inverted = [min(_inverted_permittivity(*t), hi) for t in terms]
+    first = max(math.floor((min(inverted) - lo) / step), 0)
+    stop = min(math.ceil((max(inverted) - lo) / step), last)
+    # Outside the eps_k the objective is monotone only to within its rounding
+    # error, at most (len(terms) + 64) * 2**-53; past the first point more than
+    # twice that above the best, no point can reach the best. At eps_r = 1,
+    # eps_r - sin^2(theta) can round to below cos^2(theta) for theta within
+    # about 1e-6 deg of 90, so that point is always a candidate.
+    ceiling = min(map(at, range(first, stop + 1))) + (len(terms) + 64) * 2.0 ** -52
+    while first > 0 and at(first - 1) <= ceiling:
+        first -= 1
+    while stop < last and at(stop + 1) <= ceiling:
+        stop += 1
+    best = min((0, *range(first, stop + 1)), key=at)
+    bracket_lo = lo + max(best - 1, 0) * step
+    bracket_hi = lo + min(best + 1, last) * step
     eps_r = _golden_section(lambda e: _mse(e, terms), bracket_lo, bracket_hi, _EPS_TOLERANCE)
     if min(eps_r - lo, hi - eps_r) <= _EPS_TOLERANCE:
         raise EstimateAtBoundError(
@@ -145,13 +171,10 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
 
 
 class LinearReflectionFit(NamedTuple):
-    """|gamma_perp| modeled as slope * theta_deg + intercept, clamped to [0, 1]."""
+    """|gamma_perp| modeled as slope * theta_deg + intercept."""
 
     slope: float
     intercept: float
-
-    def magnitude_at(self, incident_angle_deg: float) -> float:
-        return min(1.0, max(0.0, self.slope * incident_angle_deg + self.intercept))
 
 
 def fit_linear_reflection(

@@ -393,7 +393,7 @@ class TestScatterCommands:
     ])
     def test_out_of_range_argument_is_invariant_violation(self, extra, message):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            warnings.simplefilter("error")  # any warning fails the test
             result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
                                *extra])
         assert result.exit_code == 2
@@ -599,82 +599,6 @@ def test_help_is_returned_and_printed_unchanged(argv, monkeypatch):
     assert dispatch(argv) == (0, completed.stdout, completed.stderr)
 
 
-_COLD_START = """
-import json, sys
-import mmwprop, mmwprop.cli
-code = mmwprop.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
-"""
-
-
-def _run_fresh(argv):
-    """Run the CLI in a new interpreter; pytest itself has numpy loaded."""
-    completed = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
-                               capture_output=True, text=True)
-    status = json.loads(completed.stderr.splitlines()[-1])
-    return completed.stdout, status
-
-
-def test_scalar_commands_do_not_load_numpy():
-    stdout, status = _run_fresh(["fspl", "--freq", "28e9", "--distance-m", "1"])
-    assert status == {"code": 0, "numpy": False}
-    assert json.loads(stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
-
-
-def test_estimate_eps_loads_numpy_only_for_the_search(reflection_csv, tmp_path):
-    stdout, status = _run_fresh(["estimate-eps", "--input", str(reflection_csv)])
-    assert status == {"code": 0, "numpy": True}
-    assert json.loads(stdout)["eps_r"] == pytest.approx(5.2, abs=1e-3)
-
-    one = tmp_path / "one.csv"
-    one.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n142e9,30,7.53\n",
-                   encoding="utf-8")
-    _, status = _run_fresh(["estimate-eps", "--input", str(one)])
-    assert status == {"code": 2, "numpy": False}
-
-    _, status = _run_fresh(["fit-linear", "--input", str(reflection_csv)])
-    assert status == {"code": 0, "numpy": False}
-
-
-# scatter-pattern --eps 6.4 --incident-angle 30 --hpbw 8 --format csv
-_PATTERN_GOLDEN = """\
-observation_angle_deg,relative_power_db
--80.0000,-38.4280
--70.0000,-36.5182
--60.0000,-34.7081
--50.0000,-33.0100
--40.0000,-31.4517
--30.0000,-30.0628
--20.0000,-28.8674
--10.0000,-27.8826
-0.0000,-27.1192
-10.0000,-25.7331
-20.0000,-8.2459
-30.0000,0.0000
-40.0000,-8.2478
-50.0000,-25.9419
-60.0000,-27.5371
-70.0000,-28.5104
-80.0000,-29.7779
-"""
-
-
-def test_scatter_pattern_loads_no_numpy_and_gives_golden_output():
-    stdout, status = _run_fresh(["scatter-pattern", "--eps", "6.4", "--incident-angle",
-                                 "30", "--hpbw", "8", "--format", "csv"])
-    assert status == {"code": 0, "numpy": False}
-    assert stdout == _PATTERN_GOLDEN
-
-
-def test_backscatter_loads_no_numpy(tmp_path):
-    path = tmp_path / "pattern.csv"
-    path.write_text(_PATTERN_GOLDEN, encoding="utf-8")
-    stdout, status = _run_fresh(["backscatter", "--input", str(path),
-                                 "--incident-angle", "30"])
-    assert status == {"code": 0, "numpy": False}
-    assert json.loads(stdout)["peak_angle"] == 30.0
-
-
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 # golden file -> (argv, fixture whose file is the --input, or None)
@@ -702,6 +626,9 @@ _GOLDEN_RUNS = {
                               "--hpbw", "8"], None),
     "scatter-pattern.csv": (["scatter-pattern", "--eps", "4.7", "--incident-angle", "42.5",
                              "--step", "5", "--format", "csv"], None),
+    # also the input of the backscatter run
+    "scatter-pattern-30.csv": (["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
+                                "--hpbw", "8", "--format", "csv"], None),
     "depol-margin-mean.json": (["depol-margin", "--cross-mean-db", "25.70", "--xpd-db", "19.30"],
                                None),
     "depol-margin-pair.json": (["depol-margin", "--vh-db", "25.59", "--hv-db", "25.81",
@@ -718,19 +645,41 @@ _GOLDEN_RUNS = {
 
 
 @pytest.fixture
-def pattern_csv(tmp_path):
-    path = tmp_path / "pattern.csv"
-    path.write_text(_PATTERN_GOLDEN, encoding="utf-8")
-    return path
+def pattern_csv():
+    return GOLDENS / "scatter-pattern-30.csv"
+
+
+def _golden_argv(name, request):
+    argv, fixture = _GOLDEN_RUNS[name]
+    return [*argv, "--input", str(request.getfixturevalue(fixture))] if fixture else argv
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
 def test_output_matches_golden(name, request, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
-    argv, fixture = _GOLDEN_RUNS[name]
-    if fixture:
-        argv = [*argv, "--input", str(request.getfixturevalue(fixture))]
-    assert dispatch(argv) == (0, (GOLDENS / name).read_text(encoding="utf-8"), "")
+    assert dispatch(_golden_argv(name, request)) == (
+        0, (GOLDENS / name).read_text(encoding="utf-8"), "")
+
+
+# numpy is a test dependency only: with its import blocked, a new interpreter
+# must still give every golden byte for byte.
+_REPLAY_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from mmwprop.cli import dispatch
+print(json.dumps([dispatch(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_goldens_replay_without_numpy(request, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    names = sorted(_GOLDEN_RUNS)
+    argvs = [_golden_argv(name, request) for name in names]
+    completed = subprocess.run([sys.executable, "-c", _REPLAY_WITHOUT_NUMPY, json.dumps(argvs)],
+                               capture_output=True, text=True, check=True)
+    results = dict(zip(names, json.loads(completed.stdout)))
+    assert results == {name: [0, (GOLDENS / name).read_text(encoding="utf-8"), ""]
+                       for name in names}
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

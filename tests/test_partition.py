@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mmwprop.datasets import CLEAR_GLASS, DRYWALL, Polarization, paper_dataset
+from mmwprop.datasets import CLEAR_GLASS, DRYWALL, paper_dataset
 from mmwprop.errors import InvariantViolationError, OverUnityBudgetError
 from mmwprop.partition import (
     LinkPowerMeasurement,
@@ -152,10 +152,3 @@ class TestEmbeddedTablesFeedTheOperations:
         vh = data.partition_mean_db(CLEAR_GLASS, 142e9, "V", "H")
         hv = data.partition_mean_db(CLEAR_GLASS, 142e9, "H", "V")
         assert vh - hv == pytest.approx(9.55, abs=1e-9)
-
-
-class TestLinkPowerMeasurement:
-    def test_polarization_coercion(self):
-        m = LinkPowerMeasurement(0.0, -90.0, 3.0, 142e9, tx_pol="H", rx_pol="V")
-        assert m.tx_pol is Polarization.H
-        assert m.rx_pol is Polarization.V

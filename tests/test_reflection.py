@@ -13,7 +13,6 @@ from mmwprop.errors import (
 )
 from mmwprop.reflection import (
     EPS_SEARCH_RANGE,
-    LinearReflectionFit,
     estimate_permittivity_mmse,
     fit_linear_reflection,
     fresnel_gamma_perp,
@@ -193,8 +192,3 @@ class TestLinearFit:
                    ReflectionSample(142e9, 30.0, 7.60)]
         with pytest.raises(DegenerateAnglesError):
             fit_linear_reflection(samples)
-
-    def test_evaluation_is_clamped(self):
-        fit = LinearReflectionFit(slope=0.02, intercept=0.5)
-        assert fit.magnitude_at(80.0) == 1.0
-        assert LinearReflectionFit(-0.01, 0.05).magnitude_at(50.0) == 0.0
