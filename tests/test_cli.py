@@ -682,6 +682,43 @@ def test_goldens_replay_without_numpy(request, monkeypatch):
                        for name in names}
 
 
+# Without blocking numpy: the commands must not import it even where it is installed.
+_COLD_START = """
+import json, sys
+import mmwprop, mmwprop.cli
+code = mmwprop.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def _run_fresh(argv):
+    """Run the CLI in a new interpreter; pytest itself has numpy loaded."""
+    completed = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                               capture_output=True, text=True)
+    status = json.loads(completed.stderr.splitlines()[-1])
+    return completed.stdout, status
+
+
+def test_scalar_commands_do_not_load_numpy():
+    stdout, status = _run_fresh(["fspl", "--freq", "28e9", "--distance-m", "1"])
+    assert status == {"code": 0, "numpy": False}
+    assert json.loads(stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
+
+
+def test_scatter_pattern_loads_no_numpy_and_gives_golden_output():
+    stdout, status = _run_fresh(["scatter-pattern", "--eps", "6.4", "--incident-angle",
+                                 "30", "--hpbw", "8", "--format", "csv"])
+    assert status == {"code": 0, "numpy": False}
+    assert stdout == (GOLDENS / "scatter-pattern-30.csv").read_text(encoding="utf-8")
+
+
+def test_backscatter_loads_no_numpy(pattern_csv):
+    stdout, status = _run_fresh(["backscatter", "--input", str(pattern_csv),
+                                 "--incident-angle", "30"])
+    assert status == {"code": 0, "numpy": False}
+    assert json.loads(stdout)["peak_angle"] == 30.0
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
