@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -439,7 +440,18 @@ def dispatch(argv) -> CommandResult:
 
 
 def main(argv=None) -> int:
-    result = dispatch(sys.argv[1:] if argv is None else argv)
+    """The process entry point: one ``dispatch`` with the cyclic collector paused.
+
+    Reference counting frees the records, which hold no cycles; the collector
+    would only rescan them, since CPython never untracks tuple-subclass
+    instances. The caller's setting is restored on return."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = dispatch(sys.argv[1:] if argv is None else argv)
+    finally:
+        if enabled:
+            gc.enable()
     if result.stdout:
         sys.stdout.write(result.stdout)
     if result.stderr:

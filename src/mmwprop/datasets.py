@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -48,6 +48,8 @@ class Polarization(str, Enum):
 # so it finds its own entry.
 _ENVIRONMENTS = {e.value: e for e in Environment}
 _POLARIZATIONS = {p.value: p for p in Polarization}
+_MEASURED_ENVIRONMENTS = {"LOS": Environment.LOS, "NLOS": Environment.NLOS}
+_REFUSED = "the block has a row that breaks an invariant"  # never shown: the reader retries
 
 
 def _member(table: dict, name: str, value):
@@ -95,6 +97,16 @@ class ReflectionSample(NamedTuple("ReflectionSample", [
         if not reflection_loss_db >= 0:
             raise InvariantViolationError("reflection_loss_db must be >= 0")
         return tuple.__new__(cls, (freq_hz, incident_angle_deg, reflection_loss_db))
+
+    @classmethod
+    def _from_columns(cls, freq_hz, incident_angle_deg, reflection_loss_db) -> list:
+        """The samples of a block of finite float columns, checked a column at a
+        time; ``InvariantViolationError`` if any row would fail ``__new__``."""
+        if not (min(freq_hz) > 0 and 0 < min(incident_angle_deg)
+                and max(incident_angle_deg) < 90 and min(reflection_loss_db) >= 0):
+            raise InvariantViolationError(_REFUSED)
+        return list(map(tuple.__new__, repeat(cls),
+                        zip(freq_hz, incident_angle_deg, reflection_loss_db)))
 
 
 class PartitionRecord(NamedTuple("PartitionRecord", [
@@ -160,6 +172,25 @@ class PathLossSample(NamedTuple("PathLossSample", [
         return tuple.__new__(cls, (freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
                                    tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol,
                                    path_loss_db))
+
+    @classmethod
+    def _from_columns(cls, freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
+                      tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol, path_loss_db) -> list:
+        """The samples of a block of columns as the reader gives them (finite
+        floats and str cells), checked a column at a time;
+        ``InvariantViolationError`` if any row would fail ``__new__``."""
+        if not (min(freq_hz) > 0 and min(distance_m) >= 1.0 and min(path_loss_db) > 0
+                and "" not in tx_id and "" not in rx_id):
+            raise InvariantViolationError(_REFUSED)
+        try:
+            return list(map(tuple.__new__, repeat(cls), zip(
+                freq_hz, tx_id, rx_id, distance_m,
+                map(_MEASURED_ENVIRONMENTS.__getitem__, environment),
+                tx_az_deg, tx_el_deg, rx_az_deg, rx_el_deg,
+                map(_POLARIZATIONS.__getitem__, tx_pol),
+                map(_POLARIZATIONS.__getitem__, rx_pol), path_loss_db)))
+        except KeyError:
+            raise InvariantViolationError(_REFUSED) from None
 
 
 class Material(NamedTuple):
@@ -365,7 +396,8 @@ PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 _BLOCK_ROWS = 64  # rows converted at a time: few, so that a block's cells die young
 
 
-def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> list:
+def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
+              build_columns) -> list:
     """The one CSV reader: ``build(*cells)`` per data row, cells in ``columns`` order.
 
     Columns are matched by header name; a repeated name reads its last copy.
@@ -374,8 +406,10 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> li
     data row (1-based, header excluded), and a bad number in a row is
     reported before an absent text cell or an invariant of ``build``.
 
-    Rows are converted a block at a time, column by column; a block with any
-    fault is read again by the per-row loop, the one place that names a row.
+    Rows are converted a block at a time, column by column, and
+    ``build_columns(*columns)`` makes the block's records, or refuses the block
+    with ``InvariantViolationError``. A block with any fault is read again by
+    the per-row loop, the one place that names a row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -401,7 +435,7 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build) -> li
                         cols[k] = list(map(float, cols[k]))
                         if not math.isfinite(sum(cols[k])):  # a finite overflow only costs a retry
                             raise ValueError
-                    out += list(map(build, *cols))
+                    out += build_columns(*cols)
                     row += len(block)
                 except (IndexError, ValueError, InvariantViolationError):
                     for cells in block:
@@ -435,7 +469,7 @@ def load_path_loss_csv(path) -> list[PathLossSample]:
     return _read_csv(path, PATH_LOSS_COLUMNS,
                      ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
                       "rx_az_deg", "rx_el_deg", "path_loss_db"),
-                     PathLossSample)
+                     PathLossSample, PathLossSample._from_columns)
 
 
 def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
@@ -447,12 +481,13 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:
-    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample)
+    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample,
+                     ReflectionSample._from_columns)
 
 
 def load_pattern_csv(path) -> list[tuple[float, float]]:
     """(observation angle, power dB) pairs from a scatter-pattern CSV."""
-    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, lambda *cells: cells)
+    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, lambda *cells: cells, zip)
 
 
 _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",
@@ -475,10 +510,11 @@ def validate_dataset(samples: Sequence[PathLossSample]) -> ValidationReport:
     """
     seen = Counter(map(operator.attrgetter(*_DUPLICATE_KEY_FIELDS), samples))
     duplicates = tuple(k for k, count in seen.items() if count > 1)
-    distances = [s.distance_m for s in samples]
+    environments = Counter(map(operator.attrgetter("environment"), samples))
+    distances = list(map(operator.attrgetter("distance_m"), samples))
     return ValidationReport(
-        los_count=sum(1 for s in samples if s.environment is Environment.LOS),
-        nlos_count=sum(1 for s in samples if s.environment is Environment.NLOS),
+        los_count=environments[Environment.LOS],
+        nlos_count=environments[Environment.NLOS],
         distance_min=min(distances) if distances else None,
         distance_max=max(distances) if distances else None,
         duplicate_keys=duplicates,

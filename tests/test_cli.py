@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -9,7 +10,14 @@ import warnings
 
 import pytest
 
-from mmwprop.cli import COMMANDS, _csv_payload, build_command_parser, build_parser, dispatch
+from mmwprop.cli import (
+    COMMANDS,
+    _csv_payload,
+    build_command_parser,
+    build_parser,
+    dispatch,
+    main,
+)
 from mmwprop.datasets import load_path_loss_csv, save_path_loss_csv
 from mmwprop.errors import NonFiniteResultError
 from mmwprop.pathloss import fspl_db
@@ -587,6 +595,53 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert completed.returncode == 0
     assert json.loads(completed.stdout)["fspl_db"] == pytest.approx(61.3909, abs=1e-4)
+
+
+# One argv per exit code.
+_EXIT_ARGV = {
+    0: ["fspl", "--freq", "28e9", "--distance-m", "1"],
+    1: ["fspl", "--freq", "28e9"],
+    2: ["validate", "--input", "no-such-file.csv"],
+}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("code", sorted(_EXIT_ARGV))
+def test_dispatch_leaves_the_collector_as_it_found_it(code, collector):
+    assert dispatch(_EXIT_ARGV[code]).exit_code == code
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("code", sorted(_EXIT_ARGV))
+def test_main_pauses_the_collector_for_dispatch_only(code, collector, monkeypatch):
+    during = []
+
+    def spy(argv):
+        during.append(gc.isenabled())
+        return dispatch(argv)
+
+    monkeypatch.setattr("mmwprop.cli.dispatch", spy)
+    assert main(_EXIT_ARGV[code]) == code
+    assert during == [False]
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_when_dispatch_raises(collector, monkeypatch):
+    def boom(argv):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("mmwprop.cli.dispatch", boom)
+    with pytest.raises(RuntimeError):
+        main(["fspl"])
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["fspl", "-h"], ["scatter-pattern", "--help"]])

@@ -13,6 +13,8 @@ accepted (the oracle read it as part of the first column name).
 import csv
 import io
 import math
+import operator
+from itertools import chain
 
 import pytest
 
@@ -304,6 +306,82 @@ def test_save_then_load_round_trips_exactly(samples, csv_path):
     save_path_loss_csv(samples, csv_path)
     loaded = load_path_loss_csv(csv_path)
     assert repr(loaded) == repr(samples)
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+_POSITIVE = (_finite(min_value=0.0, exclude_min=True), _finite(max_value=0.0))
+_FREE = (_finite(), None)
+_POLARIZATION = (st.sampled_from(["V", "H"]), st.sampled_from(["v", "X", "", "V "]))
+# Per field, (cells that __new__ accepts, cells it rejects or None), in the
+# form the reader hands a column builder: finite floats and str text.
+_BUILDER_CELLS = {
+    PathLossSample: (
+        _POSITIVE, (_ID_TEXT, st.just("")), (_ID_TEXT, st.just("")),
+        (_finite(min_value=1.0), _finite(max_value=1.0, exclude_max=True)),
+        (st.sampled_from(["LOS", "NLOS"]), st.sampled_from(["NLOS_BEST", "los", "", "X"])),
+        _FREE, _FREE, _FREE, _FREE, _POLARIZATION, _POLARIZATION, _POSITIVE),
+    ReflectionSample: (
+        _POSITIVE,
+        (_finite(min_value=0.0, max_value=90.0, exclude_min=True, exclude_max=True),
+         st.one_of(_finite(max_value=0.0), _finite(min_value=90.0))),
+        (_finite(min_value=0.0), _finite(max_value=0.0, exclude_max=True))),
+}
+
+
+def _breakable_fields():
+    for record, fields in _BUILDER_CELLS.items():
+        for k, (_, invalid) in enumerate(fields):
+            if invalid is not None:
+                yield pytest.param(record, k, id=f"{record.__name__}-{record._fields[k]}")
+
+
+@pytest.mark.parametrize("record, broken", _breakable_fields())
+@hypothesis.settings(max_examples=25)
+@hypothesis.given(data=st.data())
+def test_column_builder_refuses_exactly_the_blocks_with_a_bad_row(record, broken, data):
+    """Up to a block of valid rows, a few of which get a rejected cell in one
+    field. The records built column-wise are its rows' records, field for
+    field the same objects (enum members included), and a block of valid rows
+    is never refused, so a valid file never falls back to the per-row loop."""
+    fields = _BUILDER_CELLS[record]
+    rows = data.draw(st.lists(st.tuples(*(valid for valid, _ in fields)).map(list),
+                              min_size=1, max_size=_BLOCK_ROWS), label="rows")
+    for row in data.draw(st.lists(st.sampled_from(rows), max_size=2), label="broken rows"):
+        row[broken] = data.draw(fields[broken][1], label="rejected cell")
+    try:
+        expected = [record(*row) for row in rows]
+    except InvariantViolationError:
+        expected = None
+    try:
+        built = record._from_columns(*zip(*rows))
+    except InvariantViolationError:
+        built = None
+    assert (built is None) == (expected is None)
+    if built is not None:
+        assert built == expected
+        assert [type(r) for r in built] == [record] * len(rows)
+        assert all(map(operator.is_, chain(*built), chain(*expected)))
+
+
+@pytest.mark.parametrize("record", _BUILDER_CELLS, ids=lambda record: record.__name__)
+def test_a_valid_file_is_built_without_the_per_row_loop(record, csv_path, monkeypatch):
+    if record is PathLossSample:
+        text, load = _block_file(3 * _BLOCK_ROWS + 5, {}), load_path_loss_csv
+    else:
+        text = "\n".join([",".join(REFLECTION_COLUMNS)] + [
+            f"142e9,{1 + i % 88},{i % 40 * 0.25}" for i in range(3 * _BLOCK_ROWS + 5)])
+        load = load_reflection_csv
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    expected = load(csv_path)
+
+    def per_row(cls, *cells):
+        raise AssertionError("a valid row went through __new__")
+
+    monkeypatch.setattr(record, "__new__", per_row)
+    assert load(csv_path) == expected
 
 
 # Files of about three blocks, for the block reader's boundaries. rx_id comes
