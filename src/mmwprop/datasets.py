@@ -393,7 +393,9 @@ PATH_LOSS_COLUMNS = PathLossSample._fields
 REFLECTION_COLUMNS = ReflectionSample._fields
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 
-_BLOCK_ROWS = 64  # rows converted at a time: few, so that a block's cells die young
+# Rows converted at a time: enough that a block spans several links of a
+# directional sweep, whose repeated cells then share one object each.
+_BLOCK_ROWS = 256
 
 
 def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
@@ -408,8 +410,9 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
 
     Rows are converted a block at a time, column by column, and
     ``build_columns(*columns)`` makes the block's records, or refuses the block
-    with ``InvariantViolationError``. A block with any fault is read again by
-    the per-row loop, the one place that names a row.
+    with ``InvariantViolationError``. Within a column of a block, each distinct
+    cell text is converted once and its cells share the result. A block with
+    any fault is read again by the per-row loop, the one place that names a row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -431,10 +434,18 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
                 try:
                     cols = list(zip(*block))  # one per cell of the shortest row
                     cols = [cols[i] for i in picks]  # IndexError: a short row, or no rows
-                    for k in parsed:
-                        cols[k] = list(map(float, cols[k]))
-                        if not math.isfinite(sum(cols[k])):  # a finite overflow only costs a retry
-                            raise ValueError
+                    for k, cells in enumerate(cols):
+                        texts = set(cells)
+                        if len(texts) < len(cells):
+                            # keyed by text, not value, so "-0.0" stays -0.0
+                            shared = dict(zip(texts, map(float, texts) if k in parsed
+                                                     else texts))
+                            cols[k] = list(map(shared.__getitem__, cells))
+                            values = shared.values()
+                        elif k in parsed:
+                            cols[k] = values = list(map(float, cells))
+                        if k in parsed and not math.isfinite(sum(values)):
+                            raise ValueError  # a finite overflow only costs a retry
                     out += build_columns(*cols)
                     row += len(block)
                 except (IndexError, ValueError, InvariantViolationError):

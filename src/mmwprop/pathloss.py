@@ -65,9 +65,9 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
     """Fit the single-parameter CI model through the 1 m anchor."""
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 path-loss samples")
-    if any(not same_freq(s.freq_hz, freq_hz) for s in samples):
+    if not all(same_freq(f, freq_hz) for f in {s.freq_hz for s in samples}):
         raise MixedFrequenciesError(f"samples do not all sit at {freq_hz} Hz")
-    if any(s.distance_m < REFERENCE_DISTANCE_M for s in samples):
+    if min(s.distance_m for s in samples) < REFERENCE_DISTANCE_M:
         raise BelowReferenceDistanceError(
             "all fit distances must be >= the 1 m reference distance")
 

@@ -1,12 +1,13 @@
 """The CLI contract under fuzzed input, in process through ``dispatch``.
 
-Every subcommand gets argv drawn from its entry in the command table, and
-``backscatter`` also gets mutated pattern-CSV text. Every case must exit 0,
-1 or 2 without an exception escaping ``dispatch``. On success it prints
-strict JSON, a CSV whose numbers are finite, or the help; on failure it
-prints nothing to stdout. A second run gives the same result. A last
-property checks that parsing with one subcommand's parser gives what the
-full parser gives.
+Every subcommand gets argv drawn from its entry in the command table,
+``backscatter`` also gets mutated pattern-CSV text, and ``validate``,
+``fit-ci`` and ``estimate-eps`` get valid path-loss and reflection CSVs with
+mutated bytes. Every case must exit 0, 1 or 2 without an exception
+escaping ``dispatch``. On success it prints strict JSON, a CSV whose
+numbers are finite, or the help; on failure it prints nothing to stdout. A
+second run gives the same result. A last property checks that parsing with
+one subcommand's parser gives what the full parser gives.
 """
 
 import csv
@@ -54,6 +55,7 @@ def assert_contract(argv):
         else:
             assert _ERROR_LINE.match(result.stderr), result.stderr
     assert dispatch(argv) == result
+    return result
 
 
 _EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
@@ -183,6 +185,71 @@ def pattern_path(tmp_path_factory):
 def test_backscatter_keeps_the_contract(text, angle, pattern_path):
     pattern_path.write_text(text, encoding="utf-8", newline="")
     assert_contract(["backscatter", "--input", str(pattern_path), "--incident-angle", angle])
+
+
+# Bytes a mutation writes over a cell or puts between bytes: numbers at and
+# past the float range, both zeros, non-numbers, and bytes that break the CSV
+# or its encoding.
+_CELL_BYTES = (b"1e200", b"-1e200", b"1e308", b"5e-324", b"-0", b"0", b"nan", b"inf", b"",
+               b"NLOS_BEST", b"90", b"-1", b"\xff", b'"', b"\x00", b",", b"\n", b"\r",
+               b"\xef\xbb\xbf")
+_CELL = re.compile(rb"[^,\n]*")
+_DECIMAL = re.compile(rb"-?[0-9]+(\.[0-9]*)?")
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    """``data`` with one to three mutations: a cell (the bytes between two
+    delimiters, header included) replaced, a decimal cell given an exponent
+    that keeps it a finite float too large to square, or, after the header,
+    a byte set, bytes inserted or a span deleted."""
+    body = data.index(b"\n") + 1
+    for _ in range(draw(st.integers(1, 3))):
+        cells = [m.span() for m in _CELL.finditer(data)]
+        kind = draw(st.sampled_from(("cell", "exponent", "exponent", "set", "insert", "delete")))
+        if kind == "cell":
+            start, end = draw(st.sampled_from(cells))
+            data = data[:start] + draw(st.sampled_from(_CELL_BYTES)) + data[end:]
+        elif kind == "exponent":
+            decimals = [end for start, end in cells if _DECIMAL.fullmatch(data, start, end)]
+            if decimals:
+                at = draw(st.sampled_from(decimals))
+                data = data[:at] + draw(st.sampled_from((b"e200", b"e300"))) + data[at:]
+        elif kind == "set" and body < len(data):
+            at = draw(st.integers(body, len(data) - 1))
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "insert":
+            at = draw(st.integers(min(body, len(data)), len(data)))
+            data = (data[:at] + draw(st.one_of(st.sampled_from(_CELL_BYTES),
+                                               st.binary(min_size=1, max_size=3)))
+                    + data[at:])
+        else:
+            at = draw(st.integers(min(body, len(data)), len(data)))
+            data = data[:at] + data[at + draw(st.integers(1, 8)):]
+    return data
+
+
+@pytest.fixture(scope="module")
+def mutated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.csv"
+
+
+_CSV_COMMANDS = (["validate"], ["fit-ci", "--freq", "142e9"], ["estimate-eps"])
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(data=st.data())
+def test_mutated_csv_bytes_keep_the_contract(data, files, mutated_path):
+    """Every mutated file, through every command that reads a path-loss or a
+    reflection CSV: exit 0 or 2 and the rest of the contract."""
+    kind = data.draw(st.sampled_from(("path_loss", "reflection")), label="kind")
+    with open(files["{%s}" % kind], "rb") as handle:
+        text = data.draw(mutated_bytes(handle.read()), label="bytes")
+    mutated_path.write_bytes(text)
+    for command in _CSV_COMMANDS:
+        result = assert_contract([command[0], "--input", str(mutated_path), *command[1:]])
+        assert result.exit_code in (0, 2), result
+        assert "Traceback" not in result.stderr
 
 
 def _tokens(name):

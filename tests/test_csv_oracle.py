@@ -237,6 +237,90 @@ def test_reader_agrees_with_dictreader_oracle(schema, data, csv_path):
     assert outcome(load, csv_path) == expected_outcome(outcome(oracle, csv_path), short)
 
 
+# Texts that are equal as floats but not as text, among them both zeros;
+# zeros only where a record takes them.
+_EQUAL_AS_FLOATS = ["-0.0", "0.0", "0", "0e0", "-0", "1", "1.0", "1e0", " 1.0"]
+_EQUAL_AS_POSITIVE_FLOATS = ["1", "1.0", "1e0", " 1.0"]
+_POSITIVE = {"freq_hz", "distance_m", "path_loss_db", "incident_angle_deg"}
+_NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+_POOL_CELLS = {
+    "tx_id": ["tx1", "tx2", "a b"],
+    "rx_id": ["rx1", "rx2", "rx,3"],
+    "environment": ["LOS", "NLOS"],
+    "tx_pol": ["V", "H"],
+    "rx_pol": ["V", "H"],
+}
+
+
+@st.composite
+def pooled_csv(draw, columns, numeric):
+    """CSV text whose cells come from a pool of one to three texts per
+    column, so a block's columns repeat their cells. A numeric pool mixes
+    texts that are equal as floats (``-0.0``, ``0``, ``1e0``, ...) and, now
+    and then, a non-finite one."""
+    header = list(draw(st.permutations(columns)))
+    pools = {}
+    for name in header:
+        if name in numeric:
+            cells = [st.sampled_from(_EQUAL_AS_POSITIVE_FLOATS if name in _POSITIVE
+                                     else _EQUAL_AS_FLOATS), _CELLS[name]]
+            if draw(st.integers(0, 9)) == 0:
+                cells.append(st.sampled_from(_NON_FINITE))
+        else:
+            cells = [st.sampled_from(_POOL_CELLS[name])]
+        pools[name] = draw(st.lists(st.one_of(cells), min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pools[name]) for name in header)),
+                         min_size=1, max_size=12))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
+def _signs(records):
+    """The sign of every float field; ``==`` alone takes -0.0 for 0.0."""
+    return [math.copysign(1, v) for record in records for v in record if type(v) is float]
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(data=st.data())
+def test_repeated_cells_agree_with_dictreader_oracle(schema, data, csv_path):
+    """Blocks whose columns repeat texts, some equal only as floats, load as
+    the oracle loads them, field for field and zero for signed zero."""
+    columns, numeric, load, oracle = SCHEMAS[schema]
+    text = data.draw(pooled_csv(columns, numeric), label="csv")
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    got, want = outcome(load, csv_path), outcome(oracle, csv_path)
+    assert got == want
+    if isinstance(want, list):
+        assert _signs(got) == _signs(want)
+
+
+def test_a_block_converts_each_distinct_text_once(csv_path):
+    """In a directional sweep every link repeats its frequency, ids, distance
+    and pointings. Each (block, column, text) is one object, shared by every
+    record of the block that has that text, and no two texts share one."""
+    rows = []
+    for link in range(3 * _BLOCK_ROWS // 36 + 1):
+        for pointing in range(36):
+            rows.append(["142e9", f"TX{link // 4}", f"RX{link:03d}", f"{2 + link % 9}.5",
+                         ("LOS", "NLOS")[link % 2], f"{pointing // 6 * 60}", "0.0",
+                         f"{pointing % 6 * 60}", ("-0.0", "0.0", "0")[link % 3], "V", "H",
+                         f"{90 + len(rows) * 0.01:.2f}"])
+    rows = rows[:3 * _BLOCK_ROWS]
+    csv_path.write_text("\n".join(map(",".join, [PATH_LOSS_COLUMNS, *rows])) + "\n",
+                        encoding="utf-8", newline="")
+    records, expected = load_path_loss_csv(csv_path), oracle_path_loss(csv_path)
+    assert records == expected
+    assert _signs(records) == _signs(expected)
+    as_read = [k for k, c in enumerate(PATH_LOSS_COLUMNS)
+               if c not in ("environment", "tx_pol", "rx_pol")]  # not mapped to enum members
+    texts = sum(len({row[k] for row in rows[b:b + _BLOCK_ROWS]})
+                for b in range(0, len(rows), _BLOCK_ROWS) for k in as_read)
+    assert len({id(record[k]) for record in records for k in as_read}) == texts
+    assert texts < len(rows) * len(as_read) // 4  # the sweep repeats most of its cells
+
+
 @pytest.mark.parametrize("schema", SCHEMAS)
 def test_byte_order_mark_is_skipped(schema, tmp_path):
     columns, _, load, oracle = SCHEMAS[schema]
