@@ -19,7 +19,6 @@ from .datasets import (
     validate_dataset,
 )
 from .partition import (
-    LinkPowerMeasurement,
     PowerBudget,
     depolarization_margin,
     partition_loss,

@@ -31,7 +31,6 @@ from .datasets import (
 )
 from .errors import MmwPropError, NonFiniteResultError
 from .partition import (
-    LinkPowerMeasurement,
     depolarization_margin,
     partition_loss,
     power_budget,
@@ -160,10 +159,9 @@ def _cmd_fit_linear(args) -> dict:
 def _cmd_scatter_pattern(args):
     params = DsParameters(s_coeff=args.s_coeff, lambda_mix=args.lambda_mix,
                           alpha_r=args.alpha_r, alpha_i=args.alpha_i)
-    geometries = sweep_geometries(args.incident_angle,
-                                  sweep_angles(args.incident_angle, args.step))
+    sweep = sweep_geometries(args.incident_angle, sweep_angles(args.incident_angle, args.step))
     pattern = predict_pattern(
-        geometries, args.eps, params, args.hpbw,
+        sweep, args.eps, params, args.hpbw,
         diffuse_solid_angle_sr=args.diffuse_sr,
         specular_spread_deg=args.spread_deg,
     )
@@ -191,15 +189,8 @@ def _cmd_backscatter(args) -> dict:
 
 
 def _cmd_partition(args) -> dict:
-    rx_power = args.rx_power_dbm
-    if args.gains_dbi:
-        rx_power -= sum(args.gains_dbi)
-    return partition_loss(LinkPowerMeasurement(
-        tx_power_dbm=args.tx_power_dbm,
-        rx_power_dbm=rx_power,
-        distance_m=args.distance_m,
-        freq_hz=args.freq,
-    ))._asdict()
+    return partition_loss(args.tx_power_dbm, args.rx_power_dbm - sum(args.gains_dbi or ()),
+                          args.distance_m, args.freq)._asdict()
 
 
 def _cmd_xpd(args) -> dict:

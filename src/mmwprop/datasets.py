@@ -152,10 +152,7 @@ class PathLossSample(NamedTuple("PathLossSample", [
 
     def __new__(cls, freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg, tx_el_deg,
                 rx_az_deg, rx_el_deg, tx_pol, rx_pol, path_loss_db):
-        environment = _member(_ENVIRONMENTS, "environment", environment)
-        if environment is Environment.NLOS_BEST:
-            raise InvariantViolationError(
-                f"environment must be one of ['LOS', 'NLOS'], got {environment.value!r}")
+        environment = _member(_MEASURED_ENVIRONMENTS, "environment", environment)
         tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
         rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
         if not freq_hz > 0:

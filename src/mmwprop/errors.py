@@ -83,3 +83,7 @@ class BelowReferenceDistanceError(MmwPropError):
 
 class AllAtReferenceDistanceError(MmwPropError):
     """Every sample sits at the reference distance; the slope is undefined."""
+
+
+class NonPositiveExponentError(MmwPropError):
+    """A close-in fit's exponent is not > 0: the losses sit at or below the 1 m anchor."""

@@ -18,28 +18,15 @@ from .errors import InvariantViolationError, OverUnityBudgetError
 from .pathloss import fspl_db
 
 
-class LinkPowerMeasurement(NamedTuple("LinkPowerMeasurement", [
-        ("tx_power_dbm", float), ("rx_power_dbm", float), ("distance_m", float),
-        ("freq_hz", float)])):
-    __slots__ = ()
-
-    def __new__(cls, tx_power_dbm, rx_power_dbm, distance_m, freq_hz):
-        if not distance_m > 0:
-            raise InvariantViolationError("distance_m must be > 0")
-        if not freq_hz > 0:
-            raise InvariantViolationError("freq_hz must be > 0")
-        return tuple.__new__(cls, (tx_power_dbm, rx_power_dbm, distance_m, freq_hz))
-
-
 class PartitionLossResult(NamedTuple):
     loss_db: float
     negative_loss: bool  # set when the link beat free space (noise artifact)
 
 
-def partition_loss(measurement: LinkPowerMeasurement) -> PartitionLossResult:
-    """Free-space-corrected loss across a partition."""
-    loss = (measurement.tx_power_dbm - measurement.rx_power_dbm
-            - fspl_db(measurement.freq_hz, measurement.distance_m))
+def partition_loss(tx_power_dbm: float, rx_power_dbm: float, distance_m: float,
+                   freq_hz: float) -> PartitionLossResult:
+    """Free-space-corrected loss across a partition; ``fspl_db`` checks the link."""
+    loss = tx_power_dbm - rx_power_dbm - fspl_db(freq_hz, distance_m)
     return PartitionLossResult(loss_db=loss, negative_loss=loss < 0.0)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     BelowReferenceDistanceError,
     InvariantViolationError,
     MixedFrequenciesError,
+    NonPositiveExponentError,
     TooFewSamplesError,
 )
 
@@ -79,6 +80,10 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
         raise AllAtReferenceDistanceError(
             "every sample is at the reference distance; slope is undefined")
     ple = sum(x * y for x, y in zip(a, b)) / denom
+    if ple <= 0.0:
+        raise NonPositiveExponentError(
+            f"fitted path-loss exponent {ple:.4g} is not > 0: the losses lie at or below "
+            f"the {anchor:.2f} dB free-space loss at {REFERENCE_DISTANCE_M:g} m")
     # r * r overflows to inf, which the caller reports; float ** would raise
     residual_sq = sum(r * r for r in (y - ple * x for x, y in zip(b, a)))
     sigma = math.sqrt(residual_sq / len(samples))

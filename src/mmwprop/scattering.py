@@ -89,22 +89,20 @@ class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix"
 
 
 class ScatterGeometry(NamedTuple("ScatterGeometry", [
-        ("incident_angle_deg", float), ("observation_angle_deg", float)])):
-    """One observation point on the measurement arc.
-
-    observation_angle_deg is signed from the normal; + is the specular side.
-    """
+        ("incident_angle_deg", float), ("observation_angles_deg", tuple)])):
+    """A sweep along the measurement arc at one incidence angle; + is the specular side."""
 
     __slots__ = ()
 
-    def __new__(cls, incident_angle_deg, observation_angle_deg):
+    def __new__(cls, incident_angle_deg, observation_angles_deg):
         if not 0.0 <= incident_angle_deg < 90.0:
             raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
-        if abs(observation_angle_deg) > ARC_LIMIT_DEG + _ANGLE_TOL_DEG:
+        angles = tuple(map(float, observation_angles_deg))
+        if not all(abs(a) <= ARC_LIMIT_DEG + _ANGLE_TOL_DEG for a in angles):  # NaN too
             raise InvariantViolationError(
                 f"observation_angle_deg must lie within the measured arc "
                 f"[-{ARC_LIMIT_DEG:.0f}, {ARC_LIMIT_DEG:.0f}]")
-        return tuple.__new__(cls, (incident_angle_deg, observation_angle_deg))
+        return tuple.__new__(cls, (incident_angle_deg, angles))
 
 
 class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
@@ -138,11 +136,11 @@ def sweep_angles(incident_angle_deg: float, step_deg: float = 10.0) -> list[floa
 def sweep_geometries(
     incident_angle_deg: float,
     observation_angles_deg: Sequence[float] | None = None,
-) -> tuple[ScatterGeometry, ...]:
-    """Build a sweep sharing one incidence angle; by default ``sweep_angles``'s grid."""
+) -> ScatterGeometry:
+    """The sweep at one incidence angle, by default over ``sweep_angles``'s grid."""
     if observation_angles_deg is None:
         observation_angles_deg = sweep_angles(incident_angle_deg)
-    return tuple(ScatterGeometry(incident_angle_deg, float(a)) for a in observation_angles_deg)
+    return ScatterGeometry(incident_angle_deg, observation_angles_deg)
 
 
 def _lobe_integral(alpha: int, cos_axis: float) -> float:
@@ -190,7 +188,7 @@ def _log_sum_exp(terms) -> float:
 
 
 def predict_pattern(
-    geometries: Sequence[ScatterGeometry],
+    sweep: ScatterGeometry,
     eps_r: float,
     params: DsParameters | None = None,
     antenna_hpbw_deg: float = 8.0,
@@ -198,10 +196,10 @@ def predict_pattern(
     diffuse_solid_angle_sr: float = DEFAULT_DIFFUSE_SOLID_ANGLE_SR,
     specular_spread_deg: float = DEFAULT_SPECULAR_SPREAD_DEG,
 ) -> list[ScatterPatternPoint]:
-    """Received power vs observation angle, normalized to a 0 dB peak.
+    """Received power at each observation angle of the sweep, normalized to a 0 dB peak.
 
-    The sweep must share one incidence angle and contain the specular
-    angle, where the pattern peaks. antenna_hpbw_deg must lie in
+    The sweep must hold at least 2 angles, among them the specular angle,
+    where the pattern peaks. antenna_hpbw_deg must lie in
     [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be >= 0.
     """
     if params is None:
@@ -214,12 +212,9 @@ def predict_pattern(
         raise InvariantViolationError("specular_spread_deg must be >= 0")
     if not diffuse_solid_angle_sr >= 0.0:
         raise InvariantViolationError("diffuse_solid_angle_sr must be >= 0")
-    if len(geometries) < 2:
+    theta_i, angles = sweep
+    if len(angles) < 2:
         raise InvariantViolationError("sweep needs at least 2 observation angles")
-    if len({g.incident_angle_deg for g in geometries}) > 1:
-        raise InvariantViolationError("sweep mixes incidence geometries")
-    theta_i = geometries[0].incident_angle_deg
-    angles = [float(g.observation_angle_deg) for g in geometries]
     if not any(abs(a - theta_i) <= _ANGLE_TOL_DEG for a in angles):
         raise MissingSpecularAngleError(
             f"sweep does not include the specular angle {theta_i} deg")

@@ -484,6 +484,23 @@ class TestPartitionCommands:
         assert with_gains["loss_db"] == pytest.approx(
             base["loss_db"] + 54.0, abs=1e-9)
 
+    @pytest.mark.parametrize("distance, freq, message", [
+        ("0", "142e9", "distance_m must be > 0"),
+        ("-3", "142e9", "distance_m must be > 0"),
+        ("3", "0", "freq_hz must be > 0"),
+        ("3", "-1e9", "freq_hz must be > 0"),
+    ])
+    def test_partition_single_fault_messages(self, distance, freq, message):
+        result = dispatch(["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-80",
+                           "--distance-m", distance, "--freq", freq])
+        assert result == (2, "", f"InvariantViolation: {message}\n")
+
+    def test_partition_and_fspl_name_the_same_fault_first(self):
+        partition = dispatch(["partition", "--tx-power-dbm", "0", "--rx-power-dbm", "-80",
+                              "--distance-m", "0", "--freq", "0"])
+        fspl = dispatch(["fspl", "--freq", "0", "--distance-m", "0"])
+        assert partition == fspl == (2, "", "InvariantViolation: freq_hz must be > 0\n")
+
     def test_xpd(self):
         payload = run_ok(["xpd", "--co-db", "80", "--cross-db", "124.18"])
         assert payload["xpd_db"] == pytest.approx(44.18, abs=1e-9)
@@ -539,6 +556,16 @@ class TestPathLossCommands:
         payload = run_ok(["fit-ci", "--input", str(path_loss_csv),
                           "--freq", "142e9", "--env", "NLOS_BEST"])
         assert payload["n_samples"] == 2  # one best pointing per rx location
+
+    def test_fit_ci_on_losses_below_the_anchor_names_the_fault(self, tmp_path):
+        # 60 and 65 dB at 5 and 10 m lie below FSPL(73 GHz, 1 m) = 69.71 dB
+        path = tmp_path / "below-anchor.csv"
+        path.write_text(f"{PATH_LOSS_HEADER}\n73e9,tx1,rx1,5,LOS,0,0,0,0,V,V,60\n"
+                        "73e9,tx1,rx2,10,LOS,0,0,0,0,V,V,65\n", encoding="utf-8")
+        result = dispatch(["fit-ci", "--input", str(path), "--freq", "73e9"])
+        assert result == (2, "", "NonPositiveExponent: fitted path-loss exponent -0.7728 "
+                          "is not > 0: the losses lie at or below the 69.71 dB free-space "
+                          "loss at 1 m\n")
 
     def test_reduce_directional_json(self, path_loss_csv):
         payload = run_ok(["reduce-directional", "--input", str(path_loss_csv)])

@@ -5,7 +5,6 @@ import pytest
 from mmwprop.datasets import CLEAR_GLASS, DRYWALL, paper_dataset
 from mmwprop.errors import InvariantViolationError, OverUnityBudgetError
 from mmwprop.partition import (
-    LinkPowerMeasurement,
     PowerBudget,
     depolarization_margin,
     partition_loss,
@@ -18,39 +17,40 @@ from mmwprop.reflection import reflection_loss_db
 FSPL_142G_3M = 85.0359752039378  # mpmath oracle
 
 
-def measurement(tx_dbm, rx_dbm, d=3.0, f=142e9):
-    return LinkPowerMeasurement(tx_power_dbm=tx_dbm, rx_power_dbm=rx_dbm,
-                                distance_m=d, freq_hz=f)
+def measured_loss(tx_dbm, rx_dbm, d=3.0, f=142e9):
+    return partition_loss(tx_dbm, rx_dbm, d, f)
 
 
 class TestPartitionLoss:
     def test_free_space_link_has_zero_loss(self):
         rx = 10.0 - fspl_db(142e9, 4.0)
-        result = partition_loss(measurement(10.0, rx, d=4.0))
+        result = measured_loss(10.0, rx, d=4.0)
         assert result.loss_db == pytest.approx(0.0, abs=1e-12)
         assert not result.negative_loss
 
     def test_reproduces_clear_glass_vv_mean(self):
         # received power constructed so the loss equals the 142 GHz V-V mean
         rx = -(10.22 + FSPL_142G_3M)
-        result = partition_loss(measurement(0.0, rx))
+        result = measured_loss(0.0, rx)
         assert result.loss_db == pytest.approx(10.22, abs=1e-9)
 
     def test_negative_loss_is_flagged_not_rejected(self):
         rx = 0.0 - fspl_db(142e9, 3.0) + 2.0  # 2 dB hotter than free space
-        result = partition_loss(measurement(0.0, rx))
+        result = measured_loss(0.0, rx)
         assert result.loss_db == pytest.approx(-2.0, abs=1e-12)
         assert result.negative_loss
 
     def test_antisymmetry_in_received_power(self):
-        base = partition_loss(measurement(0.0, -95.0)).loss_db
+        base = measured_loss(0.0, -95.0).loss_db
         for extra in (0.5, 3.0, 17.0):
-            boosted = partition_loss(measurement(0.0, -95.0 + extra)).loss_db
+            boosted = measured_loss(0.0, -95.0 + extra).loss_db
             assert boosted == pytest.approx(base - extra, abs=1e-12)
 
     def test_invalid_geometry(self):
-        with pytest.raises(InvariantViolationError):
-            measurement(0.0, -90.0, d=0.0)
+        with pytest.raises(InvariantViolationError, match="distance_m must be > 0"):
+            measured_loss(0.0, -90.0, d=0.0)
+        with pytest.raises(InvariantViolationError, match="freq_hz must be > 0"):
+            measured_loss(0.0, -90.0, f=0.0)
 
 
 class TestXpd:

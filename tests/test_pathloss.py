@@ -9,6 +9,7 @@ from mmwprop.errors import (
     BelowReferenceDistanceError,
     InvariantViolationError,
     MixedFrequenciesError,
+    NonPositiveExponentError,
     TooFewSamplesError,
 )
 from mmwprop.pathloss import (
@@ -106,6 +107,14 @@ class TestFitCi:
         fit = fit_ci(samples, 142e9)
         assert fit.ple == pytest.approx(4.70, abs=0.1)
         assert fit.sigma_db == pytest.approx(14.10, abs=0.5)
+
+    @pytest.mark.parametrize("offset_db", [0.0, -0.5, -30.0])
+    def test_losses_at_or_below_the_anchor_have_no_exponent(self, offset_db):
+        # on the anchor the fitted slope is exactly 0; below it, negative
+        anchor = fspl_db(142e9, 1.0)
+        samples = [make_sample(d, anchor + offset_db) for d in (2.0, 4.0, 8.0)]
+        with pytest.raises(NonPositiveExponentError, match="free-space loss at 1 m"):
+            fit_ci(samples, 142e9)
 
     def test_sigma_is_rms_of_residuals(self):
         rng = random.Random(7)

@@ -30,11 +30,7 @@ from mmwprop.datasets import (
     ValidationReport,
 )
 from mmwprop.errors import InvariantViolationError
-from mmwprop.partition import (
-    LinkPowerMeasurement,
-    PartitionLossResult,
-    PowerBudget,
-)
+from mmwprop.partition import PartitionLossResult, PowerBudget, partition_loss
 from mmwprop.pathloss import CiModel, DirectionalReduction
 from mmwprop.reflection import LinearReflectionFit, PermittivityEstimate
 from mmwprop.scattering import DsParameters, ScatterGeometry, ScatterPatternPoint
@@ -62,8 +58,6 @@ EXAMPLES = {
     PaperDataset: dict(sounders=(), reflection=(), partition=(), ci_fits=(), materials=()),
     ValidationReport: dict(los_count=1, nlos_count=2, distance_min=1.5, distance_max=9.0,
                            duplicate_keys=(("tx1", "rx1"),)),
-    LinkPowerMeasurement: dict(tx_power_dbm=0.0, rx_power_dbm=-95.26, distance_m=3.0,
-                               freq_hz=142e9),
     PartitionLossResult: dict(loss_db=-0.5, negative_loss=True),
     PowerBudget: dict(reflected_fraction=0.25, transmitted_fraction=0.5,
                       absorbed_fraction=0.25),
@@ -72,7 +66,7 @@ EXAMPLES = {
     PermittivityEstimate: dict(eps_r=6.4, mse=1e-6, samples_used=4),
     LinearReflectionFit: dict(slope=-0.01, intercept=0.9),
     DsParameters: dict(s_coeff=0.3, lambda_mix=0.8, alpha_r=2, alpha_i=5),
-    ScatterGeometry: dict(incident_angle_deg=30.0, observation_angle_deg=-40.0),
+    ScatterGeometry: dict(incident_angle_deg=30.0, observation_angles_deg=(-40.0, 30.0)),
     ScatterPatternPoint: dict(observation_angle_deg=30.0, relative_power_db=-3.5),
     CommandResult: dict(exit_code=0, stdout="{}\n", stderr=""),
     cli._Option: dict(flag="--gains-dbi", type=float, default=None, required=False,
@@ -170,6 +164,7 @@ def test_lobe_exponents_are_stored_as_int():
 
 
 _ENVS = "['LOS', 'NLOS', 'NLOS_BEST']"
+_MEASURED = "['LOS', 'NLOS']"  # a measured sample is never NLOS_BEST
 _POLS = "['V', 'H']"
 
 
@@ -200,14 +195,14 @@ INVARIANTS = [
      f"environment must be one of {_ENVS}, got 'MOON'"),
     (lambda: CiFitRecord(28e9, "LOS", 0.0, 1.0), "ple must be > 0"),
     (lambda: CiFitRecord(28e9, "LOS", 1.0, -1.0), "sigma_db must be >= 0"),
-    (_sample(environment="MOON"), f"environment must be one of {_ENVS}, got 'MOON'"),
-    (_sample(environment="los"), f"environment must be one of {_ENVS}, got 'los'"),
-    (_sample(environment=None), f"environment must be one of {_ENVS}, got None"),
-    (_sample(environment=["LOS"]), f"environment must be one of {_ENVS}, got ['LOS']"),
+    (_sample(environment="MOON"), f"environment must be one of {_MEASURED}, got 'MOON'"),
+    (_sample(environment="los"), f"environment must be one of {_MEASURED}, got 'los'"),
+    (_sample(environment=None), f"environment must be one of {_MEASURED}, got None"),
+    (_sample(environment=["LOS"]), f"environment must be one of {_MEASURED}, got ['LOS']"),
     (_sample(environment="NLOS_BEST"),
-     "environment must be one of ['LOS', 'NLOS'], got 'NLOS_BEST'"),
+     f"environment must be one of {_MEASURED}, got 'NLOS_BEST'"),
     (_sample(environment=Environment.NLOS_BEST),
-     "environment must be one of ['LOS', 'NLOS'], got 'NLOS_BEST'"),
+     f"environment must be one of {_MEASURED}, got <Environment.NLOS_BEST: 'NLOS_BEST'>"),
     (_sample(tx_pol="X"), f"tx_pol must be one of {_POLS}, got 'X'"),
     (_sample(tx_pol={}), f"tx_pol must be one of {_POLS}, got {{}}"),
     (_sample(rx_pol="LOS"), f"rx_pol must be one of {_POLS}, got 'LOS'"),
@@ -219,12 +214,12 @@ INVARIANTS = [
     (_sample(rx_id=5), "rx_id must be a str, got int"),
     # the checks run in a fixed order: enums, then numbers
     (_sample(environment="X", tx_pol="X", freq_hz=0.0),
-     f"environment must be one of {_ENVS}, got 'X'"),
+     f"environment must be one of {_MEASURED}, got 'X'"),
     (_sample(rx_pol="X", freq_hz=0.0), f"rx_pol must be one of {_POLS}, got 'X'"),
     (_sample(freq_hz=-1.0, distance_m=0.0, path_loss_db=0.0), "freq_hz must be > 0"),
     # partition
-    (lambda: LinkPowerMeasurement(0.0, -90.0, 0.0, 28e9), "distance_m must be > 0"),
-    (lambda: LinkPowerMeasurement(0.0, -90.0, 3.0, 0.0), "freq_hz must be > 0"),
+    (lambda: partition_loss(0.0, -90.0, 0.0, 28e9), "distance_m must be > 0"),
+    (lambda: partition_loss(0.0, -90.0, 3.0, 0.0), "freq_hz must be > 0"),
     (lambda: PowerBudget(1.5, 0.0, 0.0), "reflected_fraction must lie in [0, 1], got 1.5"),
     (lambda: PowerBudget(0.5, -0.5, 1.0),
      "transmitted_fraction must lie in [0, 1], got -0.5"),
@@ -241,7 +236,10 @@ INVARIANTS = [
     (lambda: DsParameters(alpha_i=2.5), "alpha_i must be an integer in [1, 1000000]"),
     (lambda: DsParameters(alpha_i=math.inf), "alpha_i must be an integer in [1, 1000000]"),
     (lambda: ScatterGeometry(90.0, 0.0), "incident_angle_deg must lie in [0, 90)"),
-    (lambda: ScatterGeometry(30.0, 80.1),
+    (lambda: ScatterGeometry(30.0, (30.0, 80.1)),
+     "observation_angle_deg must lie within the measured arc [-80, 80]"),
+    (lambda: ScatterGeometry(90.0, (80.1,)), "incident_angle_deg must lie in [0, 90)"),
+    (lambda: ScatterGeometry(30.0, (30.0, math.nan)),
      "observation_angle_deg must lie within the measured arc [-80, 80]"),
     (lambda: ScatterPatternPoint(0.0, 0.1), "relative_power_db must be <= 0"),
 ]

@@ -151,7 +151,7 @@ class TestPredictPattern:
 
     def test_default_sweep_includes_the_specular_angle(self):
         geoms = sweep_geometries(25.0)
-        assert [g.observation_angle_deg for g in geoms] == sorted(
+        assert list(geoms.observation_angles_deg) == sorted(
             [float(a) for a in range(-80, 81, 10)] + [25.0])
         assert peak_angle(predict_pattern(geoms, 6.4)) == 25.0
 
@@ -163,7 +163,7 @@ class TestPredictPattern:
     def test_off_arc_incidence_is_a_missing_specular_angle(self):
         # 85 deg lies past the +80 deg arc, so the default sweep is the grid alone
         geoms = sweep_geometries(85.0)
-        assert [g.observation_angle_deg for g in geoms] == [float(a) for a in range(-80, 81, 10)]
+        assert list(geoms.observation_angles_deg) == [float(a) for a in range(-80, 81, 10)]
         with pytest.raises(MissingSpecularAngleError, match="specular angle 85.0 deg"):
             predict_pattern(geoms, 6.4)
 
@@ -187,11 +187,6 @@ class TestPredictPattern:
     def test_sweep_too_small(self):
         with pytest.raises(InvariantViolationError):
             predict_pattern(sweep_geometries(30.0, (30.0,)), 6.4)
-
-    def test_mixed_geometries_rejected(self):
-        geoms = (ScatterGeometry(30.0, -30.0), ScatterGeometry(40.0, 40.0))
-        with pytest.raises(InvariantViolationError):
-            predict_pattern(geoms, 6.4)
 
     def test_peak_stays_specular_for_forward_dominated_surfaces(self):
         rng = np.random.default_rng(1101)
@@ -269,7 +264,14 @@ class TestClassifySmooth:
 class TestGeometryAndConversions:
     def test_observation_angle_limited_to_arc(self):
         with pytest.raises(InvariantViolationError):
-            ScatterGeometry(30.0, 85.0)
+            ScatterGeometry(30.0, (30.0, 85.0))
+        with pytest.raises(InvariantViolationError):
+            sweep_geometries(30.0, (-80.5, 30.0))
+
+    def test_sweep_holds_its_angles_as_a_float_tuple(self):
+        sweep = sweep_geometries(30, [-40, 30])
+        assert sweep == ScatterGeometry(30, (-40.0, 30.0))
+        assert [type(a) for a in sweep.observation_angles_deg] == [float, float]
 
     def test_pattern_point_must_be_relative(self):
         with pytest.raises(InvariantViolationError):
