@@ -49,7 +49,6 @@ class Polarization(str, Enum):
 _ENVIRONMENTS = {e.value: e for e in Environment}
 _POLARIZATIONS = {p.value: p for p in Polarization}
 _MEASURED_ENVIRONMENTS = {"LOS": Environment.LOS, "NLOS": Environment.NLOS}
-_REFUSED = "the block has a row that breaks an invariant"  # never shown: the reader retries
 
 
 def _member(table: dict, name: str, value):
@@ -61,8 +60,14 @@ def _member(table: dict, name: str, value):
             f"{name} must be one of {list(table)}, got {value!r}") from None
 
 
-class FrequencyBand(NamedTuple("FrequencyBand", [("center_frequency_hz", float),
-                                                 ("label", str)])):
+def _checked(name: str, fields: list):
+    """A NamedTuple base whose ``_make``, and so ``_replace``, calls the constructor."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class FrequencyBand(_checked("FrequencyBand", [("center_frequency_hz", float), ("label", str)])):
     __slots__ = ()
 
     def __new__(cls, center_frequency_hz, label):
@@ -71,8 +76,8 @@ class FrequencyBand(NamedTuple("FrequencyBand", [("center_frequency_hz", float),
         return tuple.__new__(cls, (center_frequency_hz, label))
 
 
-class AntennaSpec(NamedTuple("AntennaSpec", [("hpbw_deg", float), ("gain_dbi", float),
-                                             ("xpd_db", float)])):
+class AntennaSpec(_checked("AntennaSpec", [("hpbw_deg", float), ("gain_dbi", float),
+                                           ("xpd_db", float)])):
     __slots__ = ()
 
     def __new__(cls, hpbw_deg, gain_dbi, xpd_db):
@@ -83,33 +88,34 @@ class AntennaSpec(NamedTuple("AntennaSpec", [("hpbw_deg", float), ("gain_dbi", f
         return tuple.__new__(cls, (hpbw_deg, gain_dbi, xpd_db))
 
 
-class ReflectionSample(NamedTuple("ReflectionSample", [
+class ReflectionSample(_checked("ReflectionSample", [
         ("freq_hz", float), ("incident_angle_deg", float), ("reflection_loss_db", float)])):
     """One (incident angle, reflection loss) observation at one frequency."""
 
     __slots__ = ()
 
     def __new__(cls, freq_hz, incident_angle_deg, reflection_loss_db):
+        cls._check(freq_hz, incident_angle_deg, incident_angle_deg, reflection_loss_db)
+        return tuple.__new__(cls, (freq_hz, incident_angle_deg, reflection_loss_db))
+
+    @staticmethod
+    def _check(freq_hz, least_angle_deg, greatest_angle_deg, reflection_loss_db) -> None:
+        """The invariants, of one sample or of a block's least and greatest values."""
         if not freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
-        if not 0 < incident_angle_deg < 90:
+        if not (0 < least_angle_deg and greatest_angle_deg < 90):
             raise InvariantViolationError("incident_angle_deg must lie in (0, 90)")
         if not reflection_loss_db >= 0:
             raise InvariantViolationError("reflection_loss_db must be >= 0")
-        return tuple.__new__(cls, (freq_hz, incident_angle_deg, reflection_loss_db))
 
     @classmethod
-    def _from_columns(cls, freq_hz, incident_angle_deg, reflection_loss_db) -> list:
-        """The samples of a block of finite float columns, checked a column at a
-        time; ``InvariantViolationError`` if any row would fail ``__new__``."""
-        if not (min(freq_hz) > 0 and 0 < min(incident_angle_deg)
-                and max(incident_angle_deg) < 90 and min(reflection_loss_db) >= 0):
-            raise InvariantViolationError(_REFUSED)
-        return list(map(tuple.__new__, repeat(cls),
-                        zip(freq_hz, incident_angle_deg, reflection_loss_db)))
+    def _from_columns(cls, freq, angle, loss) -> list:
+        """The samples of a block of finite float columns, checked a column at a time."""
+        cls._check(min(freq), min(angle), max(angle), min(loss))
+        return list(map(tuple.__new__, repeat(cls), zip(freq, angle, loss)))
 
 
-class PartitionRecord(NamedTuple("PartitionRecord", [
+class PartitionRecord(_checked("PartitionRecord", [
         ("freq_hz", float), ("material_name", str), ("tx_pol", Polarization),
         ("rx_pol", Polarization), ("mean_loss_db", float), ("std_db", float)])):
     __slots__ = ()
@@ -122,8 +128,8 @@ class PartitionRecord(NamedTuple("PartitionRecord", [
         return tuple.__new__(cls, (freq_hz, material_name, tx_pol, rx_pol, mean_loss_db, std_db))
 
 
-class CiFitRecord(NamedTuple("CiFitRecord", [("freq_hz", float), ("environment", Environment),
-                                             ("ple", float), ("sigma_db", float)])):
+class CiFitRecord(_checked("CiFitRecord", [("freq_hz", float), ("environment", Environment),
+                                           ("ple", float), ("sigma_db", float)])):
     __slots__ = ()
 
     def __new__(cls, freq_hz, environment, ple, sigma_db):
@@ -135,13 +141,7 @@ class CiFitRecord(NamedTuple("CiFitRecord", [("freq_hz", float), ("environment",
         return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
 
 
-def _id_problem(name: str, value) -> str:
-    if type(value) is str:
-        return f"{name} must not be empty"
-    return f"{name} must be a str, got {type(value).__name__}"
-
-
-class PathLossSample(NamedTuple("PathLossSample", [
+class PathLossSample(_checked("PathLossSample", [
         ("freq_hz", float), ("tx_id", str), ("rx_id", str), ("distance_m", float),
         ("environment", Environment), ("tx_az_deg", float), ("tx_el_deg", float),
         ("rx_az_deg", float), ("rx_el_deg", float), ("tx_pol", Polarization),
@@ -155,39 +155,40 @@ class PathLossSample(NamedTuple("PathLossSample", [
         environment = _member(_MEASURED_ENVIRONMENTS, "environment", environment)
         tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
         rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
-        if not freq_hz > 0:
-            raise InvariantViolationError("freq_hz must be > 0")
-        if not distance_m >= 1.0:
-            raise InvariantViolationError(
-                "distance_m must be >= 1 (close-in reference distance)")
-        if not path_loss_db > 0:
-            raise InvariantViolationError("path_loss_db must be > 0")
-        if type(tx_id) is not str or not tx_id:
-            raise InvariantViolationError(_id_problem("tx_id", tx_id))
-        if type(rx_id) is not str or not rx_id:
-            raise InvariantViolationError(_id_problem("rx_id", rx_id))
+        cls._check(freq_hz, distance_m, path_loss_db, tx_id, rx_id)
         return tuple.__new__(cls, (freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
                                    tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol,
                                    path_loss_db))
 
+    @staticmethod
+    def _check(freq_hz, distance_m, path_loss_db, tx_id, rx_id) -> None:
+        """The invariants but the enums', of one sample or of a block's least values."""
+        if not freq_hz > 0:
+            raise InvariantViolationError("freq_hz must be > 0")
+        if not distance_m >= 1.0:
+            raise InvariantViolationError("distance_m must be >= 1 (close-in reference distance)")
+        if not path_loss_db > 0:
+            raise InvariantViolationError("path_loss_db must be > 0")
+        for name, value in (("tx_id", tx_id), ("rx_id", rx_id)):
+            if type(value) is not str:
+                raise InvariantViolationError(f"{name} must be a str, got {type(value).__name__}")
+            if not value:
+                raise InvariantViolationError(f"{name} must not be empty")
+
     @classmethod
-    def _from_columns(cls, freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
-                      tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol, path_loss_db) -> list:
-        """The samples of a block of columns as the reader gives them (finite
-        floats and str cells), checked a column at a time;
-        ``InvariantViolationError`` if any row would fail ``__new__``."""
-        if not (min(freq_hz) > 0 and min(distance_m) >= 1.0 and min(path_loss_db) > 0
-                and "" not in tx_id and "" not in rx_id):
-            raise InvariantViolationError(_REFUSED)
-        try:
+    def _from_columns(cls, *columns) -> list:
+        """The samples of a block of columns as the reader gives them (finite floats
+        and str cells), checked a column at a time; a faulty block fails as its rows do."""
+        freq_hz, tx_id, rx_id, distance_m, environment, *angles, tx_pol, rx_pol, loss = columns
+        try:  # "" is the least str
+            cls._check(min(freq_hz), min(distance_m), min(loss), min(tx_id), min(rx_id))
             return list(map(tuple.__new__, repeat(cls), zip(
                 freq_hz, tx_id, rx_id, distance_m,
-                map(_MEASURED_ENVIRONMENTS.__getitem__, environment),
-                tx_az_deg, tx_el_deg, rx_az_deg, rx_el_deg,
+                map(_MEASURED_ENVIRONMENTS.__getitem__, environment), *angles,
                 map(_POLARIZATIONS.__getitem__, tx_pol),
-                map(_POLARIZATIONS.__getitem__, rx_pol), path_loss_db)))
-        except KeyError:
-            raise InvariantViolationError(_REFUSED) from None
+                map(_POLARIZATIONS.__getitem__, rx_pol), loss)))
+        except (InvariantViolationError, KeyError):  # KeyError: a text outside its enum
+            return list(map(cls, *columns))  # raises the first faulty row's error
 
 
 class Material(NamedTuple):
@@ -395,21 +396,20 @@ PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 _BLOCK_ROWS = 256
 
 
-def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
-              build_columns) -> list:
-    """The one CSV reader: ``build(*cells)`` per data row, cells in ``columns`` order.
+def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build_columns) -> list:
+    """The one CSV reader: ``build_columns(*cells)`` makes records from the cells of ``columns``.
 
     Columns are matched by header name; a repeated name reads its last copy.
     Cells of ``numeric`` columns become finite floats, the rest stay text.
     Blank lines are skipped and not counted; errors name the first offending
     data row (1-based, header excluded), and a bad number in a row is
-    reported before an absent text cell or an invariant of ``build``.
+    reported before an absent text cell or an invariant of ``build_columns``.
 
     Rows are converted a block at a time, column by column, and
-    ``build_columns(*columns)`` makes the block's records, or refuses the block
-    with ``InvariantViolationError``. Within a column of a block, each distinct
+    ``build_columns`` makes the block's records, or refuses the block with
+    ``InvariantViolationError``. Within a column of a block, each distinct
     cell text is converted once and its cells share the result. A block with
-    any fault is read again by the per-row loop, the one place that names a row.
+    any fault is read again row by row, as blocks of one, naming the row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -462,7 +462,7 @@ def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build,
                             if None in values:
                                 raise InvariantViolationError(
                                     f"no cell for column {columns[values.index(None)]!r}")
-                            out.append(build(*values))
+                            out += build_columns(*zip(values))
                         except InvariantViolationError as err:
                             raise InvariantViolationError(str(err), row=row) from None
             if len(block) < _BLOCK_ROWS:
@@ -476,8 +476,7 @@ def load_path_loss_csv(path) -> list[PathLossSample]:
     """
     return _read_csv(path, PATH_LOSS_COLUMNS,
                      ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
-                      "rx_az_deg", "rx_el_deg", "path_loss_db"),
-                     PathLossSample, PathLossSample._from_columns)
+                      "rx_az_deg", "rx_el_deg", "path_loss_db"), PathLossSample._from_columns)
 
 
 def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
@@ -489,13 +488,12 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:
-    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample,
-                     ReflectionSample._from_columns)
+    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample._from_columns)
 
 
 def load_pattern_csv(path) -> list[tuple[float, float]]:
     """(observation angle, power dB) pairs from a scatter-pattern CSV."""
-    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, lambda *cells: cells, zip)
+    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, zip)
 
 
 _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",

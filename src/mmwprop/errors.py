@@ -51,6 +51,10 @@ class EstimateAtBoundError(MmwPropError):
     """A search estimate sits at an end of its search range, not at a minimum."""
 
 
+class FlatObjectiveError(MmwPropError):
+    """An estimator's objective is flat to within rounding over its whole search range."""
+
+
 class NonFiniteResultError(MmwPropError):
     """A result overflowed to infinity (or is NaN), so it cannot be printed as a number."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .datasets import _checked
 from .errors import InvariantViolationError, OverUnityBudgetError
 from .pathloss import fspl_db
 
@@ -44,7 +45,7 @@ def depolarization_margin(cross_pol_partition_mean_db: float, xpd_db: float) -> 
     return cross_pol_partition_mean_db - xpd_db
 
 
-class PowerBudget(NamedTuple("PowerBudget", [
+class PowerBudget(_checked("PowerBudget", [
         ("reflected_fraction", float), ("transmitted_fraction", float),
         ("absorbed_fraction", float)])):
     __slots__ = ()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .datasets import Environment, PathLossSample, same_freq
+from .datasets import Environment, PathLossSample, _checked, same_freq
 from .errors import (
     AllAtReferenceDistanceError,
     BelowReferenceDistanceError,
@@ -42,7 +42,7 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
     return 20.0 * math.log10(ratio)
 
 
-class CiModel(NamedTuple("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float)])):
+class CiModel(_checked("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float)])):
     __slots__ = ()
 
     def __new__(cls, freq_hz, ple, sigma_db):
@@ -68,9 +68,6 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
         raise TooFewSamplesError("need at least 2 path-loss samples")
     if not all(same_freq(f, freq_hz) for f in {s.freq_hz for s in samples}):
         raise MixedFrequenciesError(f"samples do not all sit at {freq_hz} Hz")
-    if min(s.distance_m for s in samples) < REFERENCE_DISTANCE_M:
-        raise BelowReferenceDistanceError(
-            "all fit distances must be >= the 1 m reference distance")
 
     anchor = fspl_db(freq_hz, REFERENCE_DISTANCE_M)
     a = [s.path_loss_db - anchor for s in samples]

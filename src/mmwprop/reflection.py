@@ -20,6 +20,7 @@ from .datasets import ReflectionSample, same_freq
 from .errors import (
     DegenerateAnglesError,
     EstimateAtBoundError,
+    FlatObjectiveError,
     InvariantViolationError,
     MixedFrequenciesError,
     PerfectTransmissionError,
@@ -29,18 +30,15 @@ from .errors import (
 EPS_SEARCH_RANGE = (1.0, 30.0)
 _SEARCH_GRID_POINTS = 300
 _EPS_TOLERANCE = 1e-4
-
-
-def _check_geometry(incident_angle_deg: float, eps_r: float) -> None:
-    if not 0 <= incident_angle_deg < 90:
-        raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
-    if not eps_r >= 1:
-        raise InvariantViolationError("eps_r must be >= 1")
+_ANGLE_TOL_DEG = 1e-6  # two angles this close are the same angle
 
 
 def fresnel_gamma_perp(incident_angle_deg: float, eps_r: float) -> float:
     """Signed reflection coefficient; non-positive for eps_r >= 1."""
-    _check_geometry(incident_angle_deg, eps_r)
+    if not 0 <= incident_angle_deg < 90:
+        raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
+    if not eps_r >= 1:
+        raise InvariantViolationError("eps_r must be >= 1")
     theta = math.radians(incident_angle_deg)
     root = math.sqrt(eps_r - math.sin(theta) ** 2)
     return (math.cos(theta) - root) / (math.cos(theta) + root)
@@ -69,10 +67,9 @@ def _single_frequency(samples: Sequence[ReflectionSample]) -> float:
 
 
 def _sample_terms(samples: Sequence[ReflectionSample]) -> list[tuple[float, float, float]]:
-    """(measured |gamma_perp|^2, cos(theta), sin^2(theta)) per sample, angles checked."""
+    """(measured |gamma_perp|^2, cos(theta), sin^2(theta)) per sample."""
     terms = []
     for s in samples:
-        _check_geometry(s.incident_angle_deg, EPS_SEARCH_RANGE[0])
         theta = math.radians(s.incident_angle_deg)
         terms.append((10.0 ** (-s.reflection_loss_db / 10.0),
                       math.cos(theta), math.sin(theta) ** 2))
@@ -134,7 +131,8 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     sample's inverted permittivity eps_k and rises after it. The grid is
     therefore evaluated only between the smallest and largest eps_k, and
     beyond them only where rounding could let a point tie the best.
-    Raises EstimateAtBoundError when the minimum lies at either end of [1, 30].
+    Raises EstimateAtBoundError when the minimum lies at either end of [1, 30],
+    and FlatObjectiveError when every grid point is within rounding of the best.
     """
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 reflection samples")
@@ -153,12 +151,17 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     # twice that above the best, no point can reach the best. At eps_r = 1,
     # eps_r - sin^2(theta) can round to below cos^2(theta) for theta within
     # about 1e-6 deg of 90, so that point is always a candidate.
-    ceiling = min(map(at, range(first, stop + 1))) + (len(terms) + 64) * 2.0 ** -52
+    rounding = (len(terms) + 64) * 2.0 ** -52
+    ceiling = min(map(at, range(first, stop + 1))) + rounding
     while first > 0 and at(first - 1) <= ceiling:
         first -= 1
     while stop < last and at(stop + 1) <= ceiling:
         stop += 1
     best = min((0, *range(first, stop + 1)), key=at)
+    if (first, stop) == (0, last) and max(map(at, range(last + 1))) <= at(best) + rounding:
+        raise FlatObjectiveError(
+            f"the MMSE objective is flat to within rounding over [{lo:g}, {hi:g}]; "
+            "the samples do not determine eps_r")
     bracket_lo = lo + max(best - 1, 0) * step
     bracket_hi = lo + min(best + 1, last) * step
     eps_r = _golden_section(lambda e: _mse(e, terms), bracket_lo, bracket_hi, _EPS_TOLERANCE)
@@ -187,12 +190,13 @@ def fit_linear_reflection(
     if len(samples) < 2:
         raise TooFewSamplesError("need at least 2 reflection samples")
     angles = [s.incident_angle_deg for s in samples]
+    if max(angles) - min(angles) <= _ANGLE_TOL_DEG:
+        raise DegenerateAnglesError(
+            f"all samples share one incidence angle, to within {_ANGLE_TOL_DEG:g} deg")
     mags = [measured_magnitude(s) for s in samples]
     mean_x = sum(angles) / len(angles)
     mean_y = sum(mags) / len(mags)
     var_x = sum((x - mean_x) ** 2 for x in angles)
-    if var_x == 0.0:
-        raise DegenerateAnglesError("all samples share one incidence angle")
     cov_xy = sum((x - mean_x) * (y - mean_y) for x, y in zip(angles, mags))
     slope = cov_xy / var_x
     intercept = mean_y - slope * mean_x

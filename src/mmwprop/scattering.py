@@ -40,15 +40,16 @@ over- or underflows and every level is finite. The model uses only ``math``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
+from .datasets import _checked
 from .errors import (
     InvariantViolationError,
     MissingSpecularAngleError,
     OneSidedPatternError,
     PerfectTransmissionError,
 )
-from .reflection import fresnel_gamma_perp
+from .reflection import _ANGLE_TOL_DEG, fresnel_gamma_perp
 
 ARC_LIMIT_DEG = 80.0  # measured arc spans 10..170 deg, i.e. signed -80..+80
 MIN_SWEEP_STEP_DEG = 0.01  # at most 16 001 grid angles over the 160 deg arc
@@ -63,11 +64,10 @@ MIN_HPBW_DEG = 1e-6  # keeps every specular level in dB within float range
 
 _LN2 = math.log(2.0)
 _DB_PER_LN = 10.0 / math.log(10.0)  # 10 log10(x) = _DB_PER_LN * ln(x)
-_ANGLE_TOL_DEG = 1e-6
 
 
-class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix", float),
-                                               ("alpha_r", int), ("alpha_i", int)])):
+class DsParameters(_checked("DsParameters", [("s_coeff", float), ("lambda_mix", float),
+                                             ("alpha_r", int), ("alpha_i", int)])):
     """Dual-lobe directive scattering parameters.
 
     Defaults reproduce a drywall-like surface: most energy in the forward
@@ -88,7 +88,7 @@ class DsParameters(NamedTuple("DsParameters", [("s_coeff", float), ("lambda_mix"
         return tuple.__new__(cls, (s_coeff, lambda_mix, int(alpha_r), int(alpha_i)))
 
 
-class ScatterGeometry(NamedTuple("ScatterGeometry", [
+class ScatterGeometry(_checked("ScatterGeometry", [
         ("incident_angle_deg", float), ("observation_angles_deg", tuple)])):
     """A sweep along the measurement arc at one incidence angle; + is the specular side."""
 
@@ -105,7 +105,7 @@ class ScatterGeometry(NamedTuple("ScatterGeometry", [
         return tuple.__new__(cls, (incident_angle_deg, angles))
 
 
-class ScatterPatternPoint(NamedTuple("ScatterPatternPoint", [
+class ScatterPatternPoint(_checked("ScatterPatternPoint", [
         ("observation_angle_deg", float), ("relative_power_db", float)])):
     """relative_power_db is relative to the pattern peak, so <= 0."""
 

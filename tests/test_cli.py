@@ -312,6 +312,18 @@ class TestReflectionCommands:
         assert result.stderr.startswith("EstimateAtBound: ")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("row", ["73e9,89.99999999999999,0",
+                                     "73e9,89.99999999999953,3.1822806396258537e-14"])
+    def test_estimate_eps_on_a_flat_objective_names_the_fault(self, row, tmp_path):
+        """Grazing samples fit every eps_r in [1, 30] equally well, to within
+        rounding: no estimate, rather than a plausible grid point."""
+        path = tmp_path / "grazing.csv"
+        path.write_text(f"freq_hz,incident_angle_deg,reflection_loss_db\n{row}\n{row}\n",
+                        encoding="utf-8")
+        result = dispatch(["estimate-eps", "--input", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("FlatObjective: ")
+
     def test_freq_filter_uses_relative_match(self, tmp_path):
         lines = ["freq_hz,incident_angle_deg,reflection_loss_db"]
         lines += [f"28e9,{a},{reflection_loss_db(a, 4.7)!r}" for a in (10.0, 30.0, 60.0)]
@@ -326,6 +338,17 @@ class TestReflectionCommands:
         payload = run_ok(["fit-linear", "--input", str(reflection_csv)])
         assert payload["slope"] > 0.0
         assert payload["samples_used"] == 4
+
+    @pytest.mark.parametrize("angles", [("30", "30.000000001"), ("30", "30.0000009")])
+    def test_fit_linear_on_coincident_angles_names_the_fault(self, angles, tmp_path):
+        """Angles within 1e-6 deg of each other are one angle: no slope."""
+        path = tmp_path / "coincident.csv"
+        path.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n"
+                        f"73e9,{angles[0]},3\n73e9,{angles[1]},5\n", encoding="utf-8")
+        result = dispatch(["fit-linear", "--input", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("DegenerateAngles: all samples share one incidence angle, "
+                                 "to within 1e-06 deg\n")
 
 
 class TestScatterCommands:

@@ -59,9 +59,16 @@ def assert_contract(argv):
 
 
 _EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
-                   1.7976931348623157e308, -1.7976931348623157e308, 1e-6, 1e6)
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e-6, 1e6, -1e3)
+
+
+def _float_text(x):
+    """``repr(x)`` or the exponent form: argparse alone reads "-1e3" as an option."""
+    return st.sampled_from((repr(x), f"{x:e}"))
+
+
 _ANY_FLOAT = st.one_of(st.sampled_from(_EXTREME_FLOATS),
-                       st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+                       st.floats(allow_nan=False, allow_infinity=False)).flatmap(_float_text)
 _BAD_FLOAT = st.sampled_from(("inf", "-inf", "nan", "1e400", "-1e400", "abc", "", "1,5", "0x10"))
 _BAD_INT = st.sampled_from(("1000001", str(10 ** 23), "2.5", "4.0", "x", "-1"))
 _STRAY = st.sampled_from(("--zz", "--zz=1", "stray", "--", "-1e3", "-h", "--help",
@@ -85,12 +92,12 @@ def _value(option):
         return _mostly(st.integers(1, 2 * option.default).map(str),
                        st.integers().map(str), _BAD_INT)
     if option.default is None:
-        plausible = st.floats(0.0, 89.0).map(repr)
+        plausible = st.floats(0.0, 89.0).flatmap(_float_text)
         if option.flag == "--freq":  # the frequency of the test files, too
             plausible = st.one_of(st.just("142e9"), plausible)
     else:
         plausible = st.one_of(st.just(repr(option.default)),
-                              st.floats(0.0, 2.0 * option.default).map(repr))
+                              st.floats(0.0, 2.0 * option.default).flatmap(_float_text))
     return _mostly(plausible, _ANY_FLOAT, _BAD_FLOAT)
 
 
@@ -147,12 +154,20 @@ def test_scatter_pattern_keeps_the_contract(argv, files):
     assert_contract(_with_files(argv, files))
 
 
+_EXPONENT_FORM = re.compile(r"-?[0-9]\.[0-9]+e[-+][0-9]+")
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_every_subcommand_keeps_the_contract(name, files):
+    """And a number in exponent form acts as its ``repr`` does."""
     @hypothesis.settings(max_examples=40)
     @hypothesis.given(argv=command_argv(name))
     def check(argv):
-        assert_contract(_with_files(argv, files))
+        argv = _with_files(argv, files)
+        result = assert_contract(argv)
+        decimal = dispatch([repr(float(arg)) if _EXPONENT_FORM.fullmatch(arg) else arg
+                            for arg in argv])
+        assert (decimal.exit_code, decimal.stdout) == (result.exit_code, result.stdout)
     check()
 
 

@@ -152,16 +152,15 @@ class TestFitCi:
             fit_ci(samples, 142e9)
 
     def test_checks_run_in_order_on_the_distinct_values(self):
-        """Too few samples, then a frequency off the match rule, then a
-        distance below 1 m (``_replace`` skips the sample's own check)."""
-        near = make_sample(5.0, 90.0)._replace(distance_m=0.5)
+        """Too few samples, then a frequency off the match rule. A distance
+        below 1 m never gets here: no sample holds one."""
         off = make_sample(9.0, 95.0, freq_hz=28e9)
         with pytest.raises(TooFewSamplesError):
-            fit_ci([off._replace(distance_m=0.5)], 142e9)
+            fit_ci([off], 142e9)
         with pytest.raises(MixedFrequenciesError):
-            fit_ci([make_sample(5.0, 90.0)] * 50 + [near, off], 142e9)
-        with pytest.raises(BelowReferenceDistanceError):
-            fit_ci([make_sample(5.0, 90.0)] * 50 + [near], 142e9)
+            fit_ci([make_sample(5.0, 90.0)] * 50 + [off], 142e9)
+        with pytest.raises(InvariantViolationError):
+            make_sample(5.0, 90.0)._replace(distance_m=0.5)
         within_rule = make_sample(9.0, 95.0, freq_hz=142e9 * (1 + 5e-10))
         assert fit_ci([make_sample(5.0, 90.0), within_rule], 142e9).freq_hz == 142e9
 

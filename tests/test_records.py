@@ -253,6 +253,53 @@ def test_invariant_message(build, message):
     assert info.value.row is None
 
 
+# The records with a constructor of their own, which checks the fields.
+CHECKED = [cls for cls in RECORDS if cls.__new__.__module__ == cls.__module__]
+
+
+class _Built(Exception):
+    """Raised by a stand-in for a record class with the fields it was given."""
+
+
+def _stand_in(cls):
+    def build(*args, **kwargs):
+        bound = inspect.signature(cls).bind(*args, **kwargs)
+        bound.apply_defaults()
+        raise _Built(cls, bound.arguments)
+    return build
+
+
+def _record_rows():
+    """The rows of INVARIANTS that build a record, as (record class, its
+    fields, message): each row runs once with stand-ins for the classes."""
+    saved = {cls.__name__: cls for cls in CHECKED}
+    globals().update({name: _stand_in(cls) for name, cls in saved.items()})
+    try:
+        for row, (build, message) in enumerate(INVARIANTS):
+            try:
+                build()
+            except _Built as built:
+                yield pytest.param(*built.args, message, id=f"{built.args[0].__name__}-{row}")
+            except InvariantViolationError:  # the row calls a function
+                pass
+    finally:
+        globals().update(saved)
+
+
+@pytest.mark.parametrize("cls, fields, message", list(_record_rows()))
+def test_replace_and_make_check_like_the_constructor(cls, fields, message):
+    valid = cls(**EXAMPLES[cls])
+    for build in (lambda: valid._replace(**fields), lambda: cls._make(fields.values())):
+        with pytest.raises(InvariantViolationError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_every_checked_record_has_a_row_in_invariants():
+    assert len(CHECKED) == 11  # the rule that picks CHECKED misses none
+    assert {param.values[0] for param in _record_rows()} == set(CHECKED)
+
+
 _FRESH_IMPORT = ("import json, sys; import mmwprop.cli; "
                  "print(json.dumps(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
                  "& set(sys.modules))))")
