@@ -179,8 +179,9 @@ def _cmd_scatter_pattern(args):
 
 def _cmd_backscatter(args) -> dict:
     rows = load_pattern_csv(args.input)
-    peak_angle, peak_db = max(rows, key=lambda row: row[1]) if rows else (None, 0.0)
-    pattern = [ScatterPatternPoint(a, p - peak_db) for a, p in rows]
+    peak_angle, peak_db = max(rows, key=lambda row: row[1], default=(None, 0.0))
+    pattern = ScatterPatternPoint._from_columns([a for a, _ in rows],
+                                                [p - peak_db for _, p in rows])
     return {
         "peak_angle": peak_angle,
         "backscatter_margin_db": backscatter_margin(pattern, args.incident_angle),

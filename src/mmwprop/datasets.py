@@ -134,11 +134,16 @@ class CiFitRecord(_checked("CiFitRecord", [("freq_hz", float), ("environment", E
 
     def __new__(cls, freq_hz, environment, ple, sigma_db):
         environment = _member(_ENVIRONMENTS, "environment", environment)
+        cls._check(ple, sigma_db)
+        return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
+
+    @staticmethod
+    def _check(ple, sigma_db) -> None:
+        """The close-in model's invariants, which ``pathloss.CiModel`` shares."""
         if not ple > 0:
             raise InvariantViolationError("ple must be > 0")
         if not sigma_db >= 0:
             raise InvariantViolationError("sigma_db must be >= 0")
-        return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
 
 
 class PathLossSample(_checked("PathLossSample", [

@@ -89,5 +89,9 @@ class AllAtReferenceDistanceError(MmwPropError):
     """Every sample sits at the reference distance; the slope is undefined."""
 
 
+class UndeterminedExponentError(MmwPropError):
+    """The distances sit so close to the 1 m anchor that the data cannot fix the exponent."""
+
+
 class NonPositiveExponentError(MmwPropError):
     """A close-in fit's exponent is not > 0: the losses sit at or below the 1 m anchor."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .datasets import Environment, PathLossSample, _checked, same_freq
+from .datasets import CiFitRecord, Environment, PathLossSample, _checked, same_freq
 from .errors import (
     AllAtReferenceDistanceError,
     BelowReferenceDistanceError,
@@ -24,6 +24,7 @@ from .errors import (
     MixedFrequenciesError,
     NonPositiveExponentError,
     TooFewSamplesError,
+    UndeterminedExponentError,
 )
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -46,10 +47,7 @@ class CiModel(_checked("CiModel", [("freq_hz", float), ("ple", float), ("sigma_d
     __slots__ = ()
 
     def __new__(cls, freq_hz, ple, sigma_db):
-        if not ple > 0:
-            raise InvariantViolationError("ple must be > 0")
-        if not sigma_db >= 0:
-            raise InvariantViolationError("sigma_db must be >= 0")
+        CiFitRecord._check(ple, sigma_db)
         return tuple.__new__(cls, (freq_hz, ple, sigma_db))
 
 
@@ -76,6 +74,11 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
     if denom == 0.0:
         raise AllAtReferenceDistanceError(
             "every sample is at the reference distance; slope is undefined")
+    if denom < 1.0:  # the exponent's standard error is sigma / sqrt(denom)
+        raise UndeterminedExponentError(
+            f"the distances barely leave the {REFERENCE_DISTANCE_M:g} m anchor: sum of "
+            f"(10 log10 d)^2 is {denom:.4g} dB^2, under 1, so 1 dB of path-loss scatter "
+            f"moves the fitted exponent by more than 1")
     ple = sum(x * y for x, y in zip(a, b)) / denom
     if ple <= 0.0:
         raise NonPositiveExponentError(

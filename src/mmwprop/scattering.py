@@ -34,12 +34,16 @@ that ties a per-steradian scattered density to the dimensionless specular
 power ratio.
 
 ``predict_pattern`` adds the terms as logarithms (log-sum-exp), so no product
-over- or underflows and every level is finite. The model uses only ``math``.
+over- or underflows and every level is finite. It makes one pass per angle
+and adds the three exponentials left to right, without ``sum``, so a level's
+bits do not depend on the Python version (from 3.12 ``sum`` of floats is
+compensated). The model uses only ``math``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Sequence
 
 from .datasets import _checked
@@ -116,6 +120,13 @@ class ScatterPatternPoint(_checked("ScatterPatternPoint", [
             raise InvariantViolationError("relative_power_db must be <= 0")
         return tuple.__new__(cls, (observation_angle_deg, relative_power_db))
 
+    @classmethod
+    def _from_columns(cls, angles, levels) -> list:
+        """The points of a pattern's angle and level columns, checked once per pattern."""
+        if max(levels, default=0.0) > 1e-12:
+            raise InvariantViolationError("relative_power_db must be <= 0")
+        return list(map(tuple.__new__, repeat(cls), zip(angles, levels)))
+
 
 def sweep_angles(incident_angle_deg: float, step_deg: float = 10.0) -> list[float]:
     """The arc grid -80, -80 + step, ... up to +80 deg, plus the specular
@@ -180,13 +191,6 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _log_sum_exp(terms) -> float:
-    peak = max(terms)
-    if peak == -math.inf:
-        return peak
-    return peak + math.log(sum(math.exp(t - peak) for t in terms))
-
-
 def predict_pattern(
     sweep: ScatterGeometry,
     eps_r: float,
@@ -227,15 +231,24 @@ def predict_pattern(
     backward = diffuse + _log(1.0 - params.lambda_mix)
     specular = 2.0 * _log(abs(fresnel_gamma_perp(theta_i, eps_r)))
     width = math.hypot(antenna_hpbw_deg, specular_spread_deg)
-    log_power = [_log_sum_exp((
-        forward + params.alpha_r * _log((1.0 + math.cos(math.radians(a) - ti)) / 2.0),
-        backward + params.alpha_i * _log((1.0 + math.cos(math.radians(a) + ti)) / 2.0),
-        specular - 4.0 * _LN2 * ((a - theta_i) / width) ** 2,
-    )) for a in angles]
+    alpha_r, alpha_i, gauss = params.alpha_r, params.alpha_i, 4.0 * _LN2
+    cos, log, exp, radians, inf = math.cos, math.log, math.exp, math.radians, math.inf
+    log_power = []  # log-sum-exp, added left to right and not by sum(): same bits on any Python
+    for a in angles:
+        r = radians(a)
+        x = (1.0 + cos(r - ti)) / 2.0
+        f = forward + alpha_r * (log(x) if x > 0.0 else -inf)
+        x = (1.0 + cos(r + ti)) / 2.0
+        b = backward + alpha_i * (log(x) if x > 0.0 else -inf)
+        s = specular - gauss * ((a - theta_i) / width) ** 2
+        top = max(f, b, s)
+        log_power.append(top if top == -inf
+                         else top + log(exp(f - top) + exp(b - top) + exp(s - top)))
     peak = max(log_power)
     if peak == -math.inf:
         raise PerfectTransmissionError("pattern carries no power (eps_r = 1 with s_coeff = 0)")
-    return [ScatterPatternPoint(a, (p - peak) * _DB_PER_LN) for a, p in zip(angles, log_power)]
+    return ScatterPatternPoint._from_columns(
+        angles, [(p - peak) * _DB_PER_LN for p in log_power])
 
 
 def backscatter_margin(pattern: Sequence[ScatterPatternPoint],

@@ -409,6 +409,12 @@ class TestScatterCommands:
         assert summary == {"peak_angle": 40.0, "backscatter_margin_db": 38.0,
                            "smooth": True}
 
+    def test_backscatter_on_a_header_only_pattern_names_the_fault(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n", encoding="utf-8")
+        result = dispatch(["backscatter", "--input", str(path), "--incident-angle", "30"])
+        assert result == (2, "", "OneSidedPattern: pattern is empty\n")
+
     def test_removed_distance_options_are_usage_errors(self):
         for option in ("--tx-distance", "--rx-distance"):
             result = dispatch(["scatter-pattern", "--eps", "6.4", "--incident-angle", "30",
@@ -589,6 +595,16 @@ class TestPathLossCommands:
         assert result == (2, "", "NonPositiveExponent: fitted path-loss exponent -0.7728 "
                           "is not > 0: the losses lie at or below the 69.71 dB free-space "
                           "loss at 1 m\n")
+
+    def test_fit_ci_on_distances_that_barely_leave_the_anchor_names_the_fault(self, tmp_path):
+        # least squares would print ple 2960570587.3878: the data do not determine it
+        path = tmp_path / "near-anchor.csv"
+        path.write_text(f"{PATH_LOSS_HEADER}\n73e9,tx1,rx1,1.0,LOS,0,0,0,0,V,V,70\n"
+                        "73e9,tx1,rx2,1.0000000001,LOS,0,0,0,0,V,V,71\n", encoding="utf-8")
+        result = dispatch(["fit-ci", "--input", str(path), "--freq", "73e9"])
+        assert result == (2, "", "UndeterminedExponent: the distances barely leave the 1 m "
+                          "anchor: sum of (10 log10 d)^2 is 1.886e-19 dB^2, under 1, so 1 dB "
+                          "of path-loss scatter moves the fitted exponent by more than 1\n")
 
     def test_reduce_directional_json(self, path_loss_csv):
         payload = run_ok(["reduce-directional", "--input", str(path_loss_csv)])

@@ -11,6 +11,7 @@ from mmwprop.errors import (
     MixedFrequenciesError,
     NonPositiveExponentError,
     TooFewSamplesError,
+    UndeterminedExponentError,
 )
 from mmwprop.pathloss import (
     CiModel,
@@ -141,6 +142,19 @@ class TestFitCi:
         samples = [make_sample(1.0, 80.0), make_sample(1.0, 82.0)]
         with pytest.raises(AllAtReferenceDistanceError):
             fit_ci(samples, 142e9)
+
+    @pytest.mark.parametrize("far_m, refused", [
+        (1.0000000001, True), (1.25, True), (1.26, False), (1.5, False)])
+    def test_distances_near_the_anchor_leave_the_exponent_undetermined(self, far_m, refused):
+        """Refused while sum((10 log10 d)^2) < 1, that is, while 1 dB of scatter on
+        the losses moves the exponent by more than 1: 10 log10(1.25) = 0.97."""
+        anchor = fspl_db(142e9, 1.0)
+        samples = [make_sample(1.0, anchor + 1.0), make_sample(far_m, anchor + 2.0)]
+        if refused:
+            with pytest.raises(UndeterminedExponentError, match="barely leave the 1 m anchor"):
+                fit_ci(samples, 142e9)
+        else:
+            assert fit_ci(samples, 142e9).ple > 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
