@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -396,80 +396,79 @@ PATH_LOSS_COLUMNS = PathLossSample._fields
 REFLECTION_COLUMNS = ReflectionSample._fields
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
 
-# Rows converted at a time: enough that a block spans several links of a
-# directional sweep, whose repeated cells then share one object each.
+# Rows per block: several links of a directional sweep, whose repeated cells share values.
 _BLOCK_ROWS = 256
 
 
+def _decoded(cells: list, where: str) -> list:
+    """``cells``, unless one holds a byte that was not UTF-8, read as a surrogate."""
+    try:
+        ",".join(cells).encode("utf-8")
+    except UnicodeEncodeError as err:
+        at = len(err.object[:err.start].encode("utf-8"))
+        raise UnicodeDecodeError("utf-8", err.object.encode("utf-8", "surrogateescape"),
+                                 at, at + 1, f"invalid byte in {where}") from None
+    return cells
+
+
 def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build_columns) -> list:
-    """The one CSV reader: ``build_columns(*cells)`` makes records from the cells of ``columns``.
+    """The one CSV reader (README's "Data conventions"): ``build_columns(*cells)`` makes records
+    of the cells of ``columns``, ``numeric`` ones as finite floats. Decoding is strict; a file
+    with a byte that is not UTF-8 is read again, the byte as a surrogate, to name its row."""
+    try:
+        return _read_blocks(path, columns, numeric, build_columns, "strict")
+    except UnicodeDecodeError:
+        return _read_blocks(path, columns, numeric, build_columns, "surrogateescape")
 
-    Columns are matched by header name; a repeated name reads its last copy.
-    Cells of ``numeric`` columns become finite floats, the rest stay text.
-    Blank lines are skipped and not counted; errors name the first offending
-    data row (1-based, header excluded), and a bad number in a row is
-    reported before an absent text cell or an invariant of ``build_columns``.
 
-    Rows are converted a block at a time, column by column, and
-    ``build_columns`` makes the block's records, or refuses the block with
-    ``InvariantViolationError``. Within a column of a block, each distinct
-    cell text is converted once and its cells share the result. A block with
-    any fault is read again row by row, as blocks of one, naming the row.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+def _read_blocks(path, columns, numeric, build_columns, errors: str) -> list:
+    with open(path, newline="", encoding="utf-8-sig", errors=errors) as handle:
         reader = csv.reader(handle)
-        index = {name: i for i, name in enumerate(next(reader, []))}
-        missing = [c for c in columns if c not in index]
-        if missing:
+        header = _decoded(next(reader, []), "the header")
+        rows = filter(None, reader)
+        if errors != "strict":  # a row with a bad byte fails like a row csv refuses
+            rows = map(_decoded, rows, map("data row {}".format, count(1)))
+        index = {name: i for i, name in enumerate(header)}
+        if missing := [c for c in columns if c not in index]:
             raise MissingColumnError(f"missing column(s) {missing} in {path}")
         picks = [index[c] for c in columns]
-        width = max(picks) + 1
-        parsed = [k for k, c in enumerate(columns) if c in numeric]
-        rows = filter(None, reader)
+        order = sorted(range(len(columns)), key=lambda k: columns[k] not in numeric)
+
+        def build(block, row) -> list:
+            """The records of ``block``; an error names data row ``row``, as for a block of one."""
+            cols = list(zip(*block))  # one per cell of the shortest row (none for no rows)
+            for k in order:  # numbers first: a bad one wins over an absent text cell
+                if picks[k] >= len(cols) and columns[k] not in numeric:
+                    raise InvariantViolationError(f"no cell for column {columns[k]!r}", row=row)
+                cells = cols[picks[k]] if picks[k] < len(cols) else ("",)  # an absent number
+                texts = set(cells)
+                shared = 2 * len(texts) <= len(cells)  # at most half distinct
+                values = texts if shared else cells
+                if columns[k] in numeric:
+                    try:
+                        values = list(map(float, values))
+                        if not math.isfinite(sum(values)):
+                            raise ValueError  # a finite overflow only costs a retry
+                    except ValueError:
+                        raise BadNumericError(row, columns[k], cells[0]) from None
+                cols[picks[k]] = (list(map(dict(zip(texts, values)).__getitem__, cells))
+                                  if shared else values)  # keyed by text: "-0.0" stays -0.0
+            try:
+                return build_columns(*map(cols.__getitem__, picks))
+            except InvariantViolationError as err:
+                raise InvariantViolationError(str(err), row=row) from None
+
         out = []
-        row = 0
         while True:
             block = []
             try:
                 block += islice(rows, _BLOCK_ROWS)  # keeps the rows read before an error
             finally:  # so a fault in those rows is reported before the reader's error
                 try:
-                    cols = list(zip(*block))  # one per cell of the shortest row
-                    cols = [cols[i] for i in picks]  # IndexError: a short row, or no rows
-                    for k, cells in enumerate(cols):
-                        texts = set(cells)
-                        if len(texts) < len(cells):
-                            # keyed by text, not value, so "-0.0" stays -0.0
-                            shared = dict(zip(texts, map(float, texts) if k in parsed
-                                                     else texts))
-                            cols[k] = list(map(shared.__getitem__, cells))
-                            values = shared.values()
-                        elif k in parsed:
-                            cols[k] = values = list(map(float, cells))
-                        if k in parsed and not math.isfinite(sum(values)):
-                            raise ValueError  # a finite overflow only costs a retry
-                    out += build_columns(*cols)
-                    row += len(block)
-                except (IndexError, ValueError, InvariantViolationError):
-                    for cells in block:
-                        row += 1
-                        cells += [None] * (width - len(cells))
-                        values = [cells[i] for i in picks]
-                        for k in parsed:
-                            raw = values[k]
-                            try:
-                                values[k] = float(raw)
-                            except (TypeError, ValueError):
-                                raise BadNumericError(row, columns[k], raw or "") from None
-                            if not math.isfinite(values[k]):
-                                raise BadNumericError(row, columns[k], raw)
-                        try:
-                            if None in values:
-                                raise InvariantViolationError(
-                                    f"no cell for column {columns[values.index(None)]!r}")
-                            out += build_columns(*zip(values))
-                        except InvariantViolationError as err:
-                            raise InvariantViolationError(str(err), row=row) from None
+                    out += build(block, len(out) + 1)  # a record per row so far
+                except (BadNumericError, InvariantViolationError):
+                    for row, cells in enumerate(block, len(out) + 1):
+                        out += build([cells], row)
             if len(block) < _BLOCK_ROWS:
                 return out
 

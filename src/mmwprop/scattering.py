@@ -204,7 +204,7 @@ def predict_pattern(
 
     The sweep must hold at least 2 angles, among them the specular angle,
     where the pattern peaks. antenna_hpbw_deg must lie in
-    [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be >= 0.
+    [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be finite and >= 0.
     """
     if params is None:
         params = DsParameters()
@@ -212,10 +212,10 @@ def predict_pattern(
         raise InvariantViolationError("antenna_hpbw_deg must lie in (0, 180)")
     if antenna_hpbw_deg < MIN_HPBW_DEG:
         raise InvariantViolationError(f"antenna_hpbw_deg must be >= {MIN_HPBW_DEG:g}")
-    if not specular_spread_deg >= 0.0:
-        raise InvariantViolationError("specular_spread_deg must be >= 0")
-    if not diffuse_solid_angle_sr >= 0.0:
-        raise InvariantViolationError("diffuse_solid_angle_sr must be >= 0")
+    for name, value in (("specular_spread_deg", specular_spread_deg),
+                        ("diffuse_solid_angle_sr", diffuse_solid_angle_sr)):
+        if not 0.0 <= value < math.inf:
+            raise InvariantViolationError(f"{name} must be {'finite' if value > 0 else '>= 0'}")
     theta_i, angles = sweep
     if len(angles) < 2:
         raise InvariantViolationError("sweep needs at least 2 observation angles")

@@ -170,6 +170,33 @@ class TestExitCodes:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.startswith(stderr)
 
+    @staticmethod
+    def _seven_rows(bad_number_row=None):
+        return [f"142e9,tx1,rx{i},2.0,NLOS,0,0,0,0,V,V,{'oops' if i == bad_number_row else 90}"
+                for i in range(1, 8)]
+
+    def test_bad_utf8_byte_in_the_same_chunk_comes_after_an_earlier_bad_row(self, tmp_path):
+        # both rows lie in the first 8 KiB the file is decoded in
+        path = tmp_path / "bad-byte.csv"
+        text = "\n".join([PATH_LOSS_HEADER, *self._seven_rows(bad_number_row=2), ""])
+        path.write_bytes(text.encode().replace(b"rx5", b"rx\xff5"))
+        assert dispatch(["validate", "--input", str(path)]) == (
+            2, "", "BadNumeric: data row 2, column 'path_loss_db': not a finite number: 'oops'\n")
+
+    @pytest.mark.parametrize("old, new, stderr", [
+        (b"rx5,", b"rx\xff5,", "0xff in position 12: invalid byte in data row 5"),
+        (b"rx5,2.0", b"rx5,2.\xff0", "0xff in position 16: invalid byte in data row 5"),
+        (b"rx7,2.0,NLOS,0,0,0,0,V,V,90", b"rx7,2.0,NLOS,0,0,0,0,V,V,90,\xb0",  # no column
+         "0xb0 in position 38: invalid byte in data row 7"),
+        (b"path_loss_db", b"path_loss_db,\xb0", "0xb0 in position 110: invalid byte in the header"),
+    ])
+    def test_bad_utf8_byte_names_its_row(self, old, new, stderr, tmp_path):
+        path = tmp_path / "bad-byte.csv"
+        text = "\n".join([PATH_LOSS_HEADER, *self._seven_rows(), ""]).encode()
+        path.write_bytes(text.replace(old, new))
+        assert dispatch(["validate", "--input", str(path)]) == (
+            2, "", f"UnicodeDecode: 'utf-8' codec can't decode byte {stderr}\n")
+
 
 def _options():
     """(subcommand, option) for every option the command table declares."""

@@ -7,7 +7,9 @@ or the same error class, message, row and column. The reader differs from
 the oracle in two places, each pinned by its own test: a row that stops
 before a text cell is an error naming the cell (the oracle passes
 ``None`` to the sample, which rejects it), and a UTF-8 byte-order mark is
-accepted (the oracle read it as part of the first column name).
+accepted (the oracle read it as part of the first column name). A byte that
+is not UTF-8 is a third: the reader names its row, in row order, where the
+oracle stops at it with no row.
 """
 
 import csv
@@ -541,3 +543,82 @@ def test_block_boundary_outcomes_are_the_ones_meant(csv_path):
                                              _B + 4: {"path_loss_db": "1e308"}}),
                         encoding="utf-8", newline="")
     assert [s.path_loss_db for s in load_path_loss_csv(csv_path)[_B + 2:_B + 4]] == [1e308] * 2
+
+
+# One fault of each kind at the ends of the first block and in the last row.
+_BOUNDARY_DEFECTS = {
+    "bad number": _DEFECTS["bad number"],
+    "short row": "short",
+    "bad enum text": {"environment": "NLOS_BEST"},
+    "invariant": _DEFECTS["invariant"],
+    "bad byte": {"tx_id": "tx\udcff"},  # written as the byte 0xff
+}
+
+
+def _write_block_file(path, text):
+    path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+@pytest.mark.parametrize("defect", _BOUNDARY_DEFECTS)
+@pytest.mark.parametrize("at", [_B, _B + 1, 3 * _B + 5])
+def test_one_fault_at_a_block_boundary(defect, at, csv_path):
+    text = _block_file(3 * _B + 5, {at: _BOUNDARY_DEFECTS[defect]})
+    _write_block_file(csv_path, text)
+    if defect == "bad byte":  # the oracle stops at the byte, with no row
+        with pytest.raises(UnicodeDecodeError, match=f": invalid byte in data row {at}$"):
+            load_path_loss_csv(csv_path)
+        return
+    short = first_short_row(text, PATH_LOSS_COLUMNS, _PATH_LOSS_NUMERIC)
+    expected = expected_outcome(outcome(oracle_path_loss, csv_path), short)
+    assert expected[2] == at
+    assert outcome(load_path_loss_csv, csv_path) == expected
+
+
+@pytest.mark.parametrize("first, second", [("bad byte", "bad number"), ("bad number", "bad byte"),
+                                           ("bad byte", "short row"), ("short row", "bad byte")])
+@pytest.mark.parametrize("at", [_B - 1, _B])
+def test_a_bad_byte_takes_its_place_in_row_order(first, second, at, csv_path):
+    """Two faults a row or two apart, in one block or across a boundary, and
+    in the first 8 KiB the file is decoded in or not: the earlier one wins."""
+    _write_block_file(csv_path, _block_file(3 * _B + 5, {at: _BOUNDARY_DEFECTS[first],
+                                                         at + 2: _BOUNDARY_DEFECTS[second]}))
+    with pytest.raises((UnicodeDecodeError, MmwPropError), match=f"data row {at}\\b"):
+        load_path_loss_csv(csv_path)
+    _write_block_file(csv_path, _block_file(40, {3: _BOUNDARY_DEFECTS[first],
+                                                 5: _BOUNDARY_DEFECTS[second]}))
+    with pytest.raises((UnicodeDecodeError, MmwPropError), match="data row 3\\b"):
+        load_path_loss_csv(csv_path)
+
+
+def _bits(value):
+    return value, math.copysign(1.0, value)
+
+
+def test_every_float_is_the_float_of_its_cell_shared_or_not(csv_path):
+    """tx_az_deg repeats a few texts equal as floats (shared per block);
+    rx_az_deg repeats "-0.0" in a third of its rows among distinct texts, so
+    more than half its texts are distinct (not shared); path_loss_db is all
+    distinct. Each float is float(cell), signed zero included, and only a
+    mostly repeated column shares its values."""
+    zeros = ["-0.0", "0.0", "0", "-0", "0e0", "-0e0", "1", "1.0", "1e0", "5e-324"]
+    rows = 3 * _B + 5
+    text = _block_file(rows, {i: {"tx_az_deg": zeros[i % len(zeros)],
+                                  "rx_az_deg": "-0.0" if i % 3 == 0 else f"{-i * 0.1:.17g}"}
+                              for i in range(1, rows + 1)})
+    _write_block_file(csv_path, text)
+    records = load_path_loss_csv(csv_path)
+    lines = [cells for cells in csv.reader(io.StringIO(text, newline="")) if cells]
+    header, cells = lines[0], lines[1:]
+    assert len(records) == len(cells) == rows
+    for name in _PATH_LOSS_NUMERIC:
+        k, column = header.index(name), PATH_LOSS_COLUMNS.index(name)
+        assert [_bits(r[column]) for r in records] == [_bits(float(c[k])) for c in cells], name
+    for b in range(0, rows, _B):
+        block = records[b:b + _B]
+        for name, shared in (("tx_az_deg", True), ("rx_az_deg", False), ("path_loss_db", False)):
+            column = PATH_LOSS_COLUMNS.index(name)
+            objects = len({id(r[column]) for r in block})
+            texts = len({c[header.index(name)] for c in cells[b:b + _B]})
+            assert objects == (texts if shared else len(block)), (b, name)
+            if name == "rx_az_deg" and len(block) == _B:
+                assert _B // 2 < texts < len(block)

@@ -184,6 +184,19 @@ class TestPredictPattern:
         assert peak_angle(pattern) == 30.0
         assert all(math.isfinite(p.relative_power_db) for p in pattern)
 
+    @pytest.mark.parametrize("name", ["specular_spread_deg", "diffuse_solid_angle_sr"])
+    @pytest.mark.parametrize("params", [DsParameters(), DsParameters(lambda_mix=1.0),
+                                        DsParameters(s_coeff=0.0)])
+    def test_infinite_spread_or_solid_angle_is_refused(self, name, params):
+        # an infinite solid angle used to give a NaN level at every angle
+        with pytest.raises(InvariantViolationError, match=f"^{name} must be finite$"):
+            predict_pattern(sweep_geometries(30.0), 6.4, params, **{name: math.inf})
+
+    @pytest.mark.parametrize("name", ["specular_spread_deg", "diffuse_solid_angle_sr"])
+    def test_nan_spread_or_solid_angle_is_refused(self, name):
+        with pytest.raises(InvariantViolationError, match=f"^{name} must be >= 0$"):
+            predict_pattern(sweep_geometries(30.0), 6.4, **{name: math.nan})
+
     def test_sweep_too_small(self):
         with pytest.raises(InvariantViolationError):
             predict_pattern(sweep_geometries(30.0, (30.0,)), 6.4)
