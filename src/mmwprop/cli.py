@@ -265,17 +265,8 @@ def _partition_table(data, material: str) -> list[dict]:
 def _cmd_paper_tables(args) -> dict:
     data = paper_dataset()
     tables = {
-        "I": [
-            {
-                "freq_hz": s.band.center_frequency_hz,
-                "label": s.band.label,
-                "rf_bandwidth_hz": s.rf_bandwidth_hz,
-                "antennas": [{"hpbw_deg": a.hpbw_deg, "gain_dbi": a.gain_dbi}
-                             for a in s.antennas],
-                "xpd_db": s.xpd_db,
-            }
-            for s in data.sounders
-        ],
+        "I": [{**s._asdict(), "antennas": [a._asdict() for a in s.antennas]}
+              for s in data.sounders],
         "II": [s._asdict() for s in data.reflection],
         "III": _partition_table(data, CLEAR_GLASS),
         "IV": _partition_table(data, DRYWALL),

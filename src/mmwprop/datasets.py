@@ -67,27 +67,6 @@ def _checked(name: str, fields: list):
     return base
 
 
-class FrequencyBand(_checked("FrequencyBand", [("center_frequency_hz", float), ("label", str)])):
-    __slots__ = ()
-
-    def __new__(cls, center_frequency_hz, label):
-        if not center_frequency_hz > 0:
-            raise InvariantViolationError("center_frequency_hz must be > 0")
-        return tuple.__new__(cls, (center_frequency_hz, label))
-
-
-class AntennaSpec(_checked("AntennaSpec", [("hpbw_deg", float), ("gain_dbi", float),
-                                           ("xpd_db", float)])):
-    __slots__ = ()
-
-    def __new__(cls, hpbw_deg, gain_dbi, xpd_db):
-        if not 0 < hpbw_deg < 180:
-            raise InvariantViolationError("hpbw_deg must lie in (0, 180)")
-        if not xpd_db > 0:
-            raise InvariantViolationError("xpd_db must be > 0")
-        return tuple.__new__(cls, (hpbw_deg, gain_dbi, xpd_db))
-
-
 class ReflectionSample(_checked("ReflectionSample", [
         ("freq_hz", float), ("incident_angle_deg", float), ("reflection_loss_db", float)])):
     """One (incident angle, reflection loss) observation at one frequency."""
@@ -196,6 +175,15 @@ class PathLossSample(_checked("PathLossSample", [
             return list(map(cls, *columns))  # raises the first faulty row's error
 
 
+def _first(rows, match, message: str, *keys):
+    """The first of ``rows`` that ``match`` accepts, else a MissingEntryError of ``message``
+    formatted with ``keys``. An enum key matches as its text and is printed as that text."""
+    for row in rows:
+        if match(row):
+            return row
+    raise MissingEntryError(message.format(*(getattr(k, "value", k) for k in keys)))
+
+
 class Material(NamedTuple):
     """Building material with per-frequency relative permittivity."""
 
@@ -204,43 +192,34 @@ class Material(NamedTuple):
     permittivity: tuple[tuple[float, float], ...]  # (freq_hz, eps_r) pairs
 
     def eps_r_at(self, freq_hz: float) -> float:
-        for f, eps in self.permittivity:
-            if same_freq(f, freq_hz):
-                return eps
-        raise MissingEntryError(f"no permittivity for {self.name} at {freq_hz} Hz")
+        return _first(self.permittivity, lambda pair: same_freq(pair[0], freq_hz),
+                      "no permittivity for {} at {} Hz", self.name, freq_hz)[1]
+
+
+class AntennaSpec(NamedTuple):
+    hpbw_deg: float
+    gain_dbi: float
 
 
 class SounderBand(NamedTuple):
-    """Channel-sounder line: band, RF bandwidth and the horn antennas used."""
+    """Table I's line for one band: its sounder bandwidth, the horn antennas
+    used (the last is the narrow horn of the arc) and the antennas' XPD."""
 
-    band: FrequencyBand
+    freq_hz: float
+    label: str
     rf_bandwidth_hz: float
     antennas: tuple[AntennaSpec, ...]
-
-    @property
-    def xpd_db(self) -> float:
-        return self.antennas[0].xpd_db
-
-    @property
-    def arc_antenna(self) -> AntennaSpec:
-        """Narrow-beam horn used on the reflection/scattering arc."""
-        return self.antennas[-1]
+    xpd_db: float
 
 
 # ---------------------------------------------------------------------------
 # Embedded tables
 # ---------------------------------------------------------------------------
 
-_BAND_28 = FrequencyBand(28e9, "28GHz")
-_BAND_73 = FrequencyBand(73e9, "73GHz")
-_BAND_142 = FrequencyBand(142e9, "142GHz")
-
 _SOUNDERS = (
-    SounderBand(_BAND_28, 1e9, (AntennaSpec(30.0, 15.0, 19.30),
-                                AntennaSpec(10.0, 24.5, 19.30))),
-    SounderBand(_BAND_73, 1e9, (AntennaSpec(15.0, 20.0, 28.94),
-                                AntennaSpec(7.0, 27.0, 28.94))),
-    SounderBand(_BAND_142, 1e9, (AntennaSpec(8.0, 27.0, 44.18),)),
+    SounderBand(28e9, "28GHz", 1e9, (AntennaSpec(30.0, 15.0), AntennaSpec(10.0, 24.5)), 19.30),
+    SounderBand(73e9, "73GHz", 1e9, (AntennaSpec(15.0, 20.0), AntennaSpec(7.0, 27.0)), 28.94),
+    SounderBand(142e9, "142GHz", 1e9, (AntennaSpec(8.0, 27.0),), 44.18),
 )
 
 # Reflection loss of drywall vs incident angle, positive dB.
@@ -308,19 +287,18 @@ class PaperDataset(NamedTuple):
 
     @property
     def frequencies(self) -> tuple[float, ...]:
-        return tuple(s.band.center_frequency_hz for s in self.sounders)
+        return tuple(s.freq_hz for s in self.sounders)
 
     def sounder(self, freq_hz: float) -> SounderBand:
-        for s in self.sounders:
-            if same_freq(s.band.center_frequency_hz, freq_hz):
-                return s
-        raise MissingEntryError(f"no sounder data at {freq_hz} Hz")
+        return _first(self.sounders, lambda s: same_freq(s.freq_hz, freq_hz),
+                      "no sounder data at {} Hz", freq_hz)
 
     def xpd_db(self, freq_hz: float) -> float:
         return self.sounder(freq_hz).xpd_db
 
     def arc_antenna(self, freq_hz: float) -> AntennaSpec:
-        return self.sounder(freq_hz).arc_antenna
+        """Narrow-beam horn used on the reflection/scattering arc."""
+        return self.sounder(freq_hz).antennas[-1]
 
     def reflection_samples(self, freq_hz: float | None = None) -> tuple[ReflectionSample, ...]:
         if freq_hz is None:
@@ -328,51 +306,36 @@ class PaperDataset(NamedTuple):
         return tuple(s for s in self.reflection if same_freq(s.freq_hz, freq_hz))
 
     def reflection_loss_db(self, freq_hz: float, incident_angle_deg: float) -> float:
-        for s in self.reflection_samples(freq_hz):
-            if math.isclose(s.incident_angle_deg, incident_angle_deg, abs_tol=1e-9):
-                return s.reflection_loss_db
-        raise MissingEntryError(f"no reflection entry at {freq_hz} Hz, {incident_angle_deg} deg")
+        return _first(self.reflection, lambda s: (
+                          same_freq(s.freq_hz, freq_hz)
+                          and math.isclose(s.incident_angle_deg, incident_angle_deg, abs_tol=1e-9)),
+                      "no reflection entry at {} Hz, {} deg", freq_hz,
+                      incident_angle_deg).reflection_loss_db
 
     def partition_records(self, material_name: str | None = None,
                           freq_hz: float | None = None) -> tuple[PartitionRecord, ...]:
-        out = self.partition
-        if material_name is not None:
-            out = tuple(r for r in out if r.material_name == material_name)
-        if freq_hz is not None:
-            out = tuple(r for r in out if same_freq(r.freq_hz, freq_hz))
-        return out
+        return tuple(r for r in self.partition
+                     if (material_name is None or r.material_name == material_name)
+                     and (freq_hz is None or same_freq(r.freq_hz, freq_hz)))
 
     def partition_record(self, material_name: str, freq_hz: float,
                          tx_pol, rx_pol) -> PartitionRecord:
-        try:
-            tx_pol = Polarization(tx_pol)
-            rx_pol = Polarization(rx_pol)
-        except ValueError as err:
-            raise MissingEntryError(str(err)) from None
-        for r in self.partition_records(material_name, freq_hz):
-            if r.tx_pol is tx_pol and r.rx_pol is rx_pol:
-                return r
-        raise MissingEntryError(
-            f"no partition entry for {material_name} {tx_pol.value}-{rx_pol.value} at {freq_hz} Hz")
+        return _first(self.partition, lambda r: (
+                          r.material_name == material_name and same_freq(r.freq_hz, freq_hz)
+                          and r.tx_pol == tx_pol and r.rx_pol == rx_pol),
+                      "no partition entry for {} {}-{} at {} Hz", material_name, tx_pol, rx_pol,
+                      freq_hz)
 
     def partition_mean_db(self, material_name: str, freq_hz: float, tx_pol, rx_pol) -> float:
         return self.partition_record(material_name, freq_hz, tx_pol, rx_pol).mean_loss_db
 
     def ci_fit(self, freq_hz: float, environment) -> CiFitRecord:
-        try:
-            environment = Environment(environment)
-        except ValueError as err:
-            raise MissingEntryError(str(err)) from None
-        for r in self.ci_fits:
-            if r.environment is environment and same_freq(r.freq_hz, freq_hz):
-                return r
-        raise MissingEntryError(f"no CI fit for {environment.value} at {freq_hz} Hz")
+        return _first(self.ci_fits, lambda r: (
+                          r.environment == environment and same_freq(r.freq_hz, freq_hz)),
+                      "no CI fit for {} at {} Hz", environment, freq_hz)
 
     def material(self, name: str) -> Material:
-        for m in self.materials:
-            if m.name == name:
-                return m
-        raise MissingEntryError(f"unknown material {name!r}")
+        return _first(self.materials, lambda m: m.name == name, "unknown material {!r}", name)
 
     def permittivity(self, freq_hz: float) -> float:
         """Drywall relative permittivity estimated for the given band."""

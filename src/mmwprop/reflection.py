@@ -59,11 +59,12 @@ def measured_magnitude(sample: ReflectionSample) -> float:
     return 10.0 ** (-sample.reflection_loss_db / 20.0)
 
 
-def _single_frequency(samples: Sequence[ReflectionSample]) -> float:
-    freq = samples[0].freq_hz
-    if any(not same_freq(s.freq_hz, freq) for s in samples):
+def _check_samples(samples: Sequence[ReflectionSample]) -> None:
+    """The estimators' precondition: at least 2 samples, all at one frequency."""
+    if len(samples) < 2:
+        raise TooFewSamplesError("need at least 2 reflection samples")
+    if any(not same_freq(s.freq_hz, samples[0].freq_hz) for s in samples):
         raise MixedFrequenciesError("samples span more than one frequency")
-    return freq
 
 
 def _sample_terms(samples: Sequence[ReflectionSample]) -> list[tuple[float, float, float]]:
@@ -134,9 +135,7 @@ def estimate_permittivity_mmse(samples: Sequence[ReflectionSample]) -> Permittiv
     Raises EstimateAtBoundError when the minimum lies at either end of [1, 30],
     and FlatObjectiveError when every grid point is within rounding of the best.
     """
-    if len(samples) < 2:
-        raise TooFewSamplesError("need at least 2 reflection samples")
-    _single_frequency(samples)
+    _check_samples(samples)
     terms = _sample_terms(samples)
 
     lo, hi = EPS_SEARCH_RANGE
@@ -185,10 +184,10 @@ def fit_linear_reflection(
 ) -> tuple[LinearReflectionFit, float]:
     """Ordinary least squares of |gamma_perp| against incidence angle in degrees.
 
-    Returns the fit and its RMSE over the input samples.
+    Returns the fit and its RMSE over the input samples, which must share
+    one frequency.
     """
-    if len(samples) < 2:
-        raise TooFewSamplesError("need at least 2 reflection samples")
+    _check_samples(samples)
     angles = [s.incident_angle_deg for s in samples]
     if max(angles) - min(angles) <= _ANGLE_TOL_DEG:
         raise DegenerateAnglesError(

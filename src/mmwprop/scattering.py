@@ -111,20 +111,26 @@ class ScatterGeometry(_checked("ScatterGeometry", [
 
 class ScatterPatternPoint(_checked("ScatterPatternPoint", [
         ("observation_angle_deg", float), ("relative_power_db", float)])):
-    """relative_power_db is relative to the pattern peak, so <= 0."""
+    """relative_power_db is relative to the pattern peak, so finite and <= 0."""
 
     __slots__ = ()
 
     def __new__(cls, observation_angle_deg, relative_power_db):
-        if relative_power_db > 1e-12:
-            raise InvariantViolationError("relative_power_db must be <= 0")
+        cls._check((relative_power_db,))
         return tuple.__new__(cls, (observation_angle_deg, relative_power_db))
+
+    @staticmethod
+    def _check(levels) -> None:
+        """The invariant, of one point's level or of every level of a pattern."""
+        if not all(map(math.isfinite, levels)):
+            raise InvariantViolationError("relative_power_db must be finite")
+        if max(levels, default=0.0) > 1e-12:
+            raise InvariantViolationError("relative_power_db must be <= 0")
 
     @classmethod
     def _from_columns(cls, angles, levels) -> list:
         """The points of a pattern's angle and level columns, checked once per pattern."""
-        if max(levels, default=0.0) > 1e-12:
-            raise InvariantViolationError("relative_power_db must be <= 0")
+        cls._check(levels)
         return list(map(tuple.__new__, repeat(cls), zip(angles, levels)))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from mmwprop.cli import (
     COMMANDS,
+    CommandResult,
     _csv_payload,
     build_command_parser,
     build_parser,
@@ -376,6 +377,18 @@ class TestReflectionCommands:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == ("DegenerateAngles: all samples share one incidence angle, "
                                  "to within 1e-06 deg\n")
+
+    @pytest.mark.parametrize("command", ["fit-linear", "estimate-eps"])
+    def test_reflection_fits_refuse_mixed_frequencies(self, command, tmp_path):
+        """Rows at 28 and 142 GHz are two bands, not one fit; --freq picks one."""
+        path = tmp_path / "mixed.csv"
+        path.write_text("freq_hz,incident_angle_deg,reflection_loss_db\n"
+                        "28e9,10,12.98\n28e9,30,4.22\n142e9,60,3.54\n142e9,80,0.36\n",
+                        encoding="utf-8")
+        result = dispatch([command, "--input", str(path)])
+        assert result == CommandResult(
+            2, "", "MixedFrequencies: samples span more than one frequency\n")
+        assert run_ok([command, "--input", str(path), "--freq", "142e9"])["samples_used"] == 2
 
 
 class TestScatterCommands:

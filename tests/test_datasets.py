@@ -117,28 +117,54 @@ class TestEmbeddedTables:
             data.ci_fit(142e9, "LOS_BEST")
 
     @pytest.mark.parametrize("lookup", [
-        lambda d: d.xpd_db(60e9),
-        lambda d: d.reflection_loss_db(142e9, 45.0),
-        lambda d: d.ci_fit(142e9, "LOS_BEST"),
-        lambda d: d.ci_fit(60e9, "LOS"),
-        lambda d: d.partition_record(DRYWALL, 142e9, "V", "X"),
-        lambda d: d.partition_record(DRYWALL, 60e9, "V", "V"),
-        lambda d: d.material("concrete"),
-        lambda d: d.material(CLEAR_GLASS).eps_r_at(142e9),
+        lambda d, key: d.ci_fit(73e9, key(Environment.NLOS)),
+        lambda d, key: d.ci_fit(142e9, key(Environment.NLOS_BEST)),
+        lambda d, key: d.partition_record(DRYWALL, 28e9, key(Polarization.V),
+                                          key(Polarization.H)),
+        lambda d, key: d.partition_record(CLEAR_GLASS, 142e9, key(Polarization.H),
+                                          key(Polarization.V)),
     ])
-    def test_missing_entries_are_domain_errors(self, lookup):
+    def test_text_and_enum_keys_find_the_same_row(self, lookup):
+        """A str-enum member equals its text, so either key finds the row."""
+        data = paper_dataset()
+        assert lookup(data, lambda member: member) is lookup(data, lambda member: member.value)
+
+    @pytest.mark.parametrize("lookup, message", [
+        (lambda d: d.xpd_db(60e9), "no sounder data at 60000000000.0 Hz"),
+        (lambda d: d.arc_antenna(60e9), "no sounder data at 60000000000.0 Hz"),
+        (lambda d: d.reflection_loss_db(142e9, 45.0),
+         "no reflection entry at 142000000000.0 Hz, 45.0 deg"),
+        (lambda d: d.ci_fit(142e9, "LOS_BEST"), "no CI fit for LOS_BEST at 142000000000.0 Hz"),
+        (lambda d: d.ci_fit(60e9, "LOS"), "no CI fit for LOS at 60000000000.0 Hz"),
+        (lambda d: d.ci_fit(60e9, Environment.LOS), "no CI fit for LOS at 60000000000.0 Hz"),
+        (lambda d: d.ci_fit(28e9, Polarization.V), "no CI fit for V at 28000000000.0 Hz"),
+        (lambda d: d.partition_record(DRYWALL, 142e9, "V", "X"),
+         "no partition entry for drywall V-X at 142000000000.0 Hz"),
+        (lambda d: d.partition_record(DRYWALL, 142e9, Polarization.V, "X"),
+         "no partition entry for drywall V-X at 142000000000.0 Hz"),
+        (lambda d: d.partition_record(DRYWALL, 60e9, "V", "V"),
+         "no partition entry for drywall V-V at 60000000000.0 Hz"),
+        (lambda d: d.partition_mean_db(CLEAR_GLASS, 28e9, Polarization.H, "v"),
+         "no partition entry for clear_glass H-v at 28000000000.0 Hz"),
+        (lambda d: d.material("concrete"), "unknown material 'concrete'"),
+        (lambda d: d.permittivity(60e9), "no permittivity for drywall at 60000000000.0 Hz"),
+        (lambda d: d.material(CLEAR_GLASS).eps_r_at(142e9),
+         "no permittivity for clear_glass at 142000000000.0 Hz"),
+    ])
+    def test_missing_entries_are_domain_errors(self, lookup, message):
+        """The message names each key by its text, an enum member too."""
         with pytest.raises(MissingEntryError) as info:
             lookup(paper_dataset())
         assert isinstance(info.value, MmwPropError)
         assert isinstance(info.value, KeyError)
-        assert str(info.value) == info.value.args[0]  # not quoted as KeyError does
+        assert str(info.value) == info.value.args[0] == message  # not quoted as KeyError does
 
     def test_same_freq_rule(self):
         assert same_freq(28e9, 2.80000000001e10)
         assert same_freq(142e9, 142e9 * (1 + 5e-10))
         assert not same_freq(142e9, 142e9 * (1 + 2e-9))
         assert not same_freq(28e9, 73e9)
-        assert paper_dataset().sounder(2.80000000001e10).band.label == "28GHz"
+        assert paper_dataset().sounder(2.80000000001e10).label == "28GHz"
 
 
 class TestTypeInvariants:

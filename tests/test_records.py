@@ -19,7 +19,6 @@ from mmwprop.datasets import (
     AntennaSpec,
     CiFitRecord,
     Environment,
-    FrequencyBand,
     Material,
     PaperDataset,
     PartitionRecord,
@@ -37,16 +36,14 @@ from mmwprop.scattering import DsParameters, ScatterGeometry, ScatterPatternPoin
 
 REQUIRED = inspect.Parameter.empty
 V, H = Polarization.V, Polarization.H
-_BAND = FrequencyBand(center_frequency_hz=142e9, label="142GHz")
-_ANTENNA = AntennaSpec(hpbw_deg=8.0, gain_dbi=27.0, xpd_db=44.18)
+_ANTENNA = AntennaSpec(hpbw_deg=8.0, gain_dbi=27.0)
 _SAMPLE = dict(freq_hz=142e9, tx_id="tx1", rx_id="rx2", distance_m=4.0,
                environment=Environment.NLOS, tx_az_deg=10.0, tx_el_deg=0.0,
                rx_az_deg=-20.0, rx_el_deg=5.0, tx_pol=V, rx_pol=H, path_loss_db=110.5)
 
 # Record -> valid keyword arguments, in field order.
 EXAMPLES = {
-    FrequencyBand: dict(center_frequency_hz=28e9, label="28GHz"),
-    AntennaSpec: dict(hpbw_deg=10.0, gain_dbi=24.5, xpd_db=19.3),
+    AntennaSpec: dict(hpbw_deg=10.0, gain_dbi=24.5),
     ReflectionSample: dict(freq_hz=142e9, incident_angle_deg=30.0, reflection_loss_db=7.53),
     PartitionRecord: dict(freq_hz=73e9, material_name="drywall", tx_pol=V, rx_pol=H,
                           mean_loss_db=24.97, std_db=0.58),
@@ -54,7 +51,8 @@ EXAMPLES = {
                       sigma_db=6.91),
     PathLossSample: _SAMPLE,
     Material: dict(name="drywall", thickness_m=0.145, permittivity=((142e9, 6.4),)),
-    SounderBand: dict(band=_BAND, rf_bandwidth_hz=1e9, antennas=(_ANTENNA,)),
+    SounderBand: dict(freq_hz=142e9, label="142GHz", rf_bandwidth_hz=1e9, antennas=(_ANTENNA,),
+                      xpd_db=44.18),
     PaperDataset: dict(sounders=(), reflection=(), partition=(), ci_fits=(), materials=()),
     ValidationReport: dict(los_count=1, nlos_count=2, distance_min=1.5, distance_max=9.0,
                            duplicate_keys=(("tx1", "rx1"),)),
@@ -174,11 +172,6 @@ def _sample(**changes):
 
 INVARIANTS = [
     # datasets
-    (lambda: FrequencyBand(0.0, "x"), "center_frequency_hz must be > 0"),
-    (lambda: FrequencyBand(math.nan, "x"), "center_frequency_hz must be > 0"),
-    (lambda: AntennaSpec(0.0, 1.0, 1.0), "hpbw_deg must lie in (0, 180)"),
-    (lambda: AntennaSpec(180.0, 1.0, 1.0), "hpbw_deg must lie in (0, 180)"),
-    (lambda: AntennaSpec(8.0, 1.0, 0.0), "xpd_db must be > 0"),
     (lambda: ReflectionSample(0.0, 30.0, 1.0), "freq_hz must be > 0"),
     (lambda: ReflectionSample(28e9, 0.0, 1.0), "incident_angle_deg must lie in (0, 90)"),
     (lambda: ReflectionSample(28e9, 90.0, 1.0), "incident_angle_deg must lie in (0, 90)"),
@@ -242,6 +235,9 @@ INVARIANTS = [
     (lambda: ScatterGeometry(30.0, (30.0, math.nan)),
      "observation_angle_deg must lie within the measured arc [-80, 80]"),
     (lambda: ScatterPatternPoint(0.0, 0.1), "relative_power_db must be <= 0"),
+    (lambda: ScatterPatternPoint(0.0, math.nan), "relative_power_db must be finite"),
+    (lambda: ScatterPatternPoint(0.0, -math.inf), "relative_power_db must be finite"),
+    (lambda: ScatterPatternPoint(0.0, math.inf), "relative_power_db must be finite"),
 ]
 
 
@@ -296,7 +292,7 @@ def test_replace_and_make_check_like_the_constructor(cls, fields, message):
 
 
 def test_every_checked_record_has_a_row_in_invariants():
-    assert len(CHECKED) == 11  # the rule that picks CHECKED misses none
+    assert len(CHECKED) == 9  # the rule that picks CHECKED misses none
     assert {param.values[0] for param in _record_rows()} == set(CHECKED)
 
 

@@ -192,3 +192,16 @@ class TestLinearFit:
                    ReflectionSample(142e9, 30.0, 7.60)]
         with pytest.raises(DegenerateAnglesError):
             fit_linear_reflection(samples)
+
+
+@pytest.mark.parametrize("estimator", [estimate_permittivity_mmse, fit_linear_reflection])
+@pytest.mark.parametrize("samples, error", [
+    ([], TooFewSamplesError),
+    ([ReflectionSample(142e9, 10.0, 9.81)], TooFewSamplesError),
+    # mixed frequencies win over coincident angles
+    ([ReflectionSample(28e9, 30.0, 4.22), ReflectionSample(142e9, 30.0, 7.53)],
+     MixedFrequenciesError),
+])
+def test_estimators_share_one_precondition(estimator, samples, error):
+    with pytest.raises(error):
+        estimator(samples)

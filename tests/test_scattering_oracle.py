@@ -199,3 +199,14 @@ def test_points_from_columns_check_the_levels_like_the_constructor():
     points = ScatterPatternPoint._from_columns((-10.0, 10.0), (-3.0, 1e-12))
     assert points == [ScatterPatternPoint(-10.0, -3.0), ScatterPatternPoint(10.0, 1e-12)]
     assert ScatterPatternPoint._from_columns((), ()) == []
+
+
+@pytest.mark.parametrize("levels", [(0.0, math.nan), (math.nan, 0.0), (-math.inf, 0.0),
+                                    (0.0, math.inf), (math.inf, -math.inf)])
+def test_points_from_columns_refuse_a_level_that_is_not_finite(levels):
+    """A NaN or infinite level is refused wherever it sits, with the message
+    the constructor gives; a -inf back point would make the margin inf, and
+    the greatest of (0, NaN) is 0."""
+    with pytest.raises(InvariantViolationError) as column:
+        ScatterPatternPoint._from_columns((-10.0, 10.0), levels)
+    assert str(column.value) == "relative_power_db must be finite"
