@@ -104,6 +104,8 @@ def _round4(value):
         if isinstance(value, dict):
             return {k: _round4(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
+            if hasattr(value, "_fields"):  # a record: the object of its fields, in order
+                return {k: _round4(v) for k, v in zip(value._fields, value)}
             return [_round4(v) for v in value]
         return value
     return round(_finite(value), 4) + 0.0
@@ -120,7 +122,7 @@ def _csv_payload(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns a dict for JSON, or (columns, rows) for CSV)
+# Subcommand handlers: each returns its data, and dispatch renders it
 # ---------------------------------------------------------------------------
 
 def _cmd_fresnel(args) -> dict:
@@ -140,20 +142,15 @@ def _filter_freq(samples, freq_hz):
     return [s for s in samples if same_freq(s.freq_hz, freq_hz)]
 
 
-def _cmd_estimate_eps(args) -> dict:
+def _cmd_estimate_eps(args):
     samples = _filter_freq(load_reflection_csv(args.input), args.freq)
-    return estimate_permittivity_mmse(samples)._asdict()
+    return estimate_permittivity_mmse(samples)
 
 
 def _cmd_fit_linear(args) -> dict:
     samples = _filter_freq(load_reflection_csv(args.input), args.freq)
     fit, rmse = fit_linear_reflection(samples)
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "rmse": rmse,
-        "samples_used": len(samples),
-    }
+    return {**fit._asdict(), "rmse": rmse, "samples_used": len(samples)}
 
 
 def _cmd_scatter_pattern(args):
@@ -167,31 +164,29 @@ def _cmd_scatter_pattern(args):
     )
     if args.format == "csv":
         return PATTERN_COLUMNS, pattern
-    peak = max(pattern, key=lambda p: p.relative_power_db)
-    return {
-        "incident_angle_deg": args.incident_angle,
-        "peak_angle": peak.observation_angle_deg,
-        "backscatter_margin_db": backscatter_margin(pattern, args.incident_angle),
-        "smooth": classify_smooth(pattern, args.incident_angle),
-        "pattern": [p._asdict() for p in pattern],
-    }
+    return {"incident_angle_deg": args.incident_angle,
+            **_summary(pattern, args.incident_angle), "pattern": pattern}
+
+
+def _summary(pattern, incident_angle_deg) -> dict:
+    """The keys scatter-pattern and backscatter share; the margin refuses an empty pattern."""
+    margin = backscatter_margin(pattern, incident_angle_deg)
+    peak = max(pattern, key=lambda p: p.relative_power_db)  # the first maximum
+    return {"peak_angle": peak.observation_angle_deg, "backscatter_margin_db": margin,
+            "smooth": classify_smooth(pattern, incident_angle_deg)}
 
 
 def _cmd_backscatter(args) -> dict:
     rows = load_pattern_csv(args.input)
-    peak_angle, peak_db = max(rows, key=lambda row: row[1], default=(None, 0.0))
+    peak = max((p for _, p in rows), default=0.0)
     pattern = ScatterPatternPoint._from_columns([a for a, _ in rows],
-                                                [p - peak_db for _, p in rows])
-    return {
-        "peak_angle": peak_angle,
-        "backscatter_margin_db": backscatter_margin(pattern, args.incident_angle),
-        "smooth": classify_smooth(pattern, args.incident_angle),
-    }
+                                                [_finite(p - peak) for _, p in rows])
+    return _summary(pattern, args.incident_angle)
 
 
-def _cmd_partition(args) -> dict:
+def _cmd_partition(args):
     return partition_loss(args.tx_power_dbm, args.rx_power_dbm - sum(args.gains_dbi or ()),
-                          args.distance_m, args.freq)._asdict()
+                          args.distance_m, args.freq)
 
 
 def _cmd_xpd(args) -> dict:
@@ -252,7 +247,7 @@ def _cmd_reduce_directional(args):
         "los_count": len(reduction.los),
         "nlos_count": len(reduction.nlos_all),
         "nlos_best_count": len(reduction.nlos_best),
-        "nlos_best": [s._asdict() for s in reduction.nlos_best],
+        "nlos_best": reduction.nlos_best,
     }
 
 
@@ -265,25 +260,17 @@ def _partition_table(data, material: str) -> list[dict]:
 def _cmd_paper_tables(args) -> dict:
     data = paper_dataset()
     tables = {
-        "I": [{**s._asdict(), "antennas": [a._asdict() for a in s.antennas]}
-              for s in data.sounders],
-        "II": [s._asdict() for s in data.reflection],
+        "I": data.sounders,
+        "II": data.reflection,
         "III": _partition_table(data, CLEAR_GLASS),
         "IV": _partition_table(data, DRYWALL),
-        "V": [r._asdict() for r in data.ci_fits],
+        "V": data.ci_fits,
     }
     return {args.table: tables[args.table]} if args.table else tables
 
 
-def _cmd_validate(args) -> dict:
-    report = validate_dataset(load_path_loss_csv(args.input))
-    return {
-        "los_count": report.los_count,
-        "nlos_count": report.nlos_count,
-        "distance_min_m": report.distance_min,
-        "distance_max_m": report.distance_max,
-        "duplicates": [list(k) for k in report.duplicate_keys],
-    }
+def _cmd_validate(args):
+    return validate_dataset(load_path_loss_csv(args.input))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +392,7 @@ def dispatch(argv) -> CommandResult:
     try:
         command, args = _parse(argv)
         data = command.handler(args)
-        if isinstance(data, tuple):
+        if command.formats and args.format == "csv":
             payload = _csv_payload(*data)
         else:
             payload = json.dumps(_round4(data), indent=2) + "\n"

@@ -470,9 +470,9 @@ _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",
 class ValidationReport(NamedTuple):
     los_count: int
     nlos_count: int
-    distance_min: float | None
-    distance_max: float | None
-    duplicate_keys: tuple[tuple, ...]
+    distance_min_m: float | None
+    distance_max_m: float | None
+    duplicates: tuple[tuple, ...]
 
 
 def validate_dataset(samples: Sequence[PathLossSample]) -> ValidationReport:
@@ -488,7 +488,7 @@ def validate_dataset(samples: Sequence[PathLossSample]) -> ValidationReport:
     return ValidationReport(
         los_count=environments[Environment.LOS],
         nlos_count=environments[Environment.NLOS],
-        distance_min=min(distances) if distances else None,
-        distance_max=max(distances) if distances else None,
-        duplicate_keys=duplicates,
+        distance_min_m=min(distances) if distances else None,
+        distance_max_m=max(distances) if distances else None,
+        duplicates=duplicates,
     )

@@ -34,11 +34,11 @@ _ANGLE_TOL_DEG = 1e-6  # two angles this close are the same angle
 
 
 def fresnel_gamma_perp(incident_angle_deg: float, eps_r: float) -> float:
-    """Signed reflection coefficient; non-positive for eps_r >= 1."""
+    """Signed reflection coefficient; non-positive, as eps_r must be finite and >= 1."""
     if not 0 <= incident_angle_deg < 90:
         raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
-    if not eps_r >= 1:
-        raise InvariantViolationError("eps_r must be >= 1")
+    if not 1 <= eps_r < math.inf:
+        raise InvariantViolationError(f"eps_r must be {'finite' if eps_r > 1 else '>= 1'}")
     theta = math.radians(incident_angle_deg)
     root = math.sqrt(eps_r - math.sin(theta) ** 2)
     return (math.cos(theta) - root) / (math.cos(theta) + root)

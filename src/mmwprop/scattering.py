@@ -208,10 +208,12 @@ def predict_pattern(
 ) -> list[ScatterPatternPoint]:
     """Received power at each observation angle of the sweep, normalized to a 0 dB peak.
 
-    The sweep must hold at least 2 angles, among them the specular angle,
+    The sweep is a ScatterGeometry of at least 2 angles, among them the specular angle,
     where the pattern peaks. antenna_hpbw_deg must lie in
     [MIN_HPBW_DEG, 180); the spread and the diffuse solid angle must be finite and >= 0.
     """
+    if not isinstance(sweep, ScatterGeometry):  # whose constructor checked the angles
+        raise InvariantViolationError("sweep must be a ScatterGeometry")
     if params is None:
         params = DsParameters()
     if not 0.0 < antenna_hpbw_deg < 180.0:

@@ -19,10 +19,17 @@ from mmwprop.cli import (
     dispatch,
     main,
 )
-from mmwprop.datasets import load_path_loss_csv, save_path_loss_csv
+from mmwprop.datasets import (
+    CiFitRecord,
+    ReflectionSample,
+    ValidationReport,
+    load_path_loss_csv,
+    save_path_loss_csv,
+)
 from mmwprop.errors import NonFiniteResultError
+from mmwprop.partition import PartitionLossResult
 from mmwprop.pathloss import fspl_db
-from mmwprop.reflection import reflection_loss_db
+from mmwprop.reflection import PermittivityEstimate, reflection_loss_db
 
 PATH_LOSS_HEADER = ("freq_hz,tx_id,rx_id,distance_m,environment,tx_az_deg,"
                     "tx_el_deg,rx_az_deg,rx_el_deg,tx_pol,rx_pol,path_loss_db")
@@ -272,6 +279,14 @@ class TestNonFiniteResults:
         result = dispatch(["fit-ci", "--input", str(path), "--freq", "142e9"])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "NonFiniteResult: a result is not a finite number: inf\n"
+
+    def test_backscatter_levels_a_float_range_apart_name_the_overflow(self, tmp_path):
+        # each level is finite, but -1e308 - 1e308, the level relative to the peak, is not
+        path = tmp_path / "pattern.csv"
+        path.write_text("observation_angle_deg,relative_power_db\n-30,-1e308\n30,1e308\n",
+                        encoding="utf-8")
+        result = dispatch(["backscatter", "--input", str(path), "--incident-angle", "30"])
+        assert result == (2, "", "NonFiniteResult: a result is not a finite number: -inf\n")
 
     def test_csv_cells_are_guarded_too(self):
         with pytest.raises(NonFiniteResultError):
@@ -668,6 +683,28 @@ class TestPathLossCommands:
         assert payload["distance_max_m"] == 16.0
         # the two LOS rows share tx/rx ids, pointing angles and polarization
         assert len(payload["duplicates"]) == 1
+
+
+class TestRecordsRenderAsTheirFields:
+    """A handler returns the library's record, and its JSON keys are its fields, in order."""
+
+    def test_estimate_eps(self, reflection_csv):
+        payload = run_ok(["estimate-eps", "--input", str(reflection_csv)])
+        assert list(payload) == list(PermittivityEstimate._fields)
+
+    def test_partition(self):
+        payload = run_ok(["partition", "--tx-power-dbm", "10", "--rx-power-dbm", "-60",
+                          "--distance-m", "2", "--freq", "142e9"])
+        assert list(payload) == list(PartitionLossResult._fields)
+
+    def test_validate(self, path_loss_csv):
+        payload = run_ok(["validate", "--input", str(path_loss_csv)])
+        assert list(payload) == list(ValidationReport._fields)
+
+    @pytest.mark.parametrize("table, record", [("II", ReflectionSample), ("V", CiFitRecord)])
+    def test_paper_table_rows(self, table, record):
+        rows = run_ok(["paper-tables", "--table", table])[table]
+        assert rows and all(list(row) == list(record._fields) for row in rows)
 
 
 class TestPaperTables:

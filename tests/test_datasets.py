@@ -303,9 +303,9 @@ class TestValidateDataset:
         report = validate_dataset([])
         assert report.los_count == 0
         assert report.nlos_count == 0
-        assert report.distance_min is None
-        assert report.distance_max is None
-        assert report.duplicate_keys == ()
+        assert report.distance_min_m is None
+        assert report.distance_max_m is None
+        assert report.duplicates == ()
 
     def test_counts_and_range(self):
         samples = [sample(environment="LOS", distance_m=2.0, rx_az_deg=1.0),
@@ -313,19 +313,19 @@ class TestValidateDataset:
                    sample(environment="NLOS", distance_m=4.0, rx_az_deg=3.0)]
         report = validate_dataset(samples)
         assert (report.los_count, report.nlos_count) == (2, 1)
-        assert (report.distance_min, report.distance_max) == (2.0, 9.0)
-        assert report.duplicate_keys == ()
+        assert (report.distance_min_m, report.distance_max_m) == (2.0, 9.0)
+        assert report.duplicates == ()
 
     def test_duplicates_reported_once(self):
         samples = [sample(), sample(), sample(rx_az_deg=90.0)]
         report = validate_dataset(samples)
-        assert len(report.duplicate_keys) == 1
+        assert len(report.duplicates) == 1
 
     def test_duplicate_key_values_and_order(self):
         samples = [sample(tx_pol="H", rx_az_deg=30.0), sample(tx_pol="H", rx_az_deg=30.0),
                    sample(), sample(), sample(rx_id="rx2")]
         report = validate_dataset(samples)
-        assert report.duplicate_keys == (
+        assert report.duplicates == (
             ("tx1", "rx1", 0.0, 0.0, 30.0, 0.0, Polarization.H, Polarization.V),
             ("tx1", "rx1", 0.0, 0.0, 0.0, 0.0, Polarization.V, Polarization.V),
         )

@@ -54,8 +54,8 @@ EXAMPLES = {
     SounderBand: dict(freq_hz=142e9, label="142GHz", rf_bandwidth_hz=1e9, antennas=(_ANTENNA,),
                       xpd_db=44.18),
     PaperDataset: dict(sounders=(), reflection=(), partition=(), ci_fits=(), materials=()),
-    ValidationReport: dict(los_count=1, nlos_count=2, distance_min=1.5, distance_max=9.0,
-                           duplicate_keys=(("tx1", "rx1"),)),
+    ValidationReport: dict(los_count=1, nlos_count=2, distance_min_m=1.5, distance_max_m=9.0,
+                           duplicates=(("tx1", "rx1"),)),
     PartitionLossResult: dict(loss_db=-0.5, negative_loss=True),
     PowerBudget: dict(reflected_fraction=0.25, transmitted_fraction=0.5,
                       absorbed_fraction=0.25),

@@ -74,6 +74,15 @@ class TestFresnelGammaPerp:
         with pytest.raises(InvariantViolationError):
             fresnel_gamma_perp(angle, eps)
 
+    @pytest.mark.parametrize("function", [fresnel_gamma_perp, reflection_loss_db])
+    @pytest.mark.parametrize("eps, message", [(math.inf, "eps_r must be finite"),
+                                              (math.nan, "eps_r must be >= 1"),
+                                              (0.5, "eps_r must be >= 1")])
+    def test_permittivity_must_be_finite_and_at_least_one(self, function, eps, message):
+        # an infinite eps_r used to give a nan coefficient and a nan loss
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            function(30.0, eps)
+
 
 class TestReflectionLoss:
     def test_predicted_drywall_loss_at_normal_incidence(self):

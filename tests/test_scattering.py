@@ -192,6 +192,20 @@ class TestPredictPattern:
         with pytest.raises(InvariantViolationError, match=f"^{name} must be finite$"):
             predict_pattern(sweep_geometries(30.0), 6.4, params, **{name: math.inf})
 
+    def test_infinite_permittivity_is_refused(self):
+        # it used to drop the specular term and return a finite diffuse-only pattern
+        with pytest.raises(InvariantViolationError, match="^eps_r must be finite$"):
+            predict_pattern(sweep_geometries(30.0), math.inf)
+
+    @pytest.mark.parametrize("sweep", [
+        (95.0, (-10.0, 95.0)),           # used to raise a bare ValueError (math domain)
+        (30.0, (-100.0, 30.0, 170.0)),   # used to return levels off the measured arc
+        [30.0, (-30.0, 30.0)],
+    ])
+    def test_sweep_must_be_a_scatter_geometry(self, sweep):
+        with pytest.raises(InvariantViolationError, match="^sweep must be a ScatterGeometry$"):
+            predict_pattern(sweep, 6.4)
+
     @pytest.mark.parametrize("name", ["specular_spread_deg", "diffuse_solid_angle_sr"])
     def test_nan_spread_or_solid_angle_is_refused(self, name):
         with pytest.raises(InvariantViolationError, match=f"^{name} must be >= 0$"):
