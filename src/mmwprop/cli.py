@@ -29,7 +29,7 @@ from .datasets import (
     same_freq,
     validate_dataset,
 )
-from .errors import MmwPropError, NonFiniteResultError
+from .errors import MmwPropError, _finite
 from .partition import (
     depolarization_margin,
     partition_loss,
@@ -90,12 +90,6 @@ def _finite_float(text: str) -> float:
     value = float(text)  # a ValueError becomes "invalid float value: ..."
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise NonFiniteResultError(f"a result is not a finite number: {value}")
     return value
 
 

@@ -16,8 +16,9 @@ import math
 import operator
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import count, islice, repeat
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -60,9 +61,28 @@ def _member(table: dict, name: str, value):
             f"{name} must be one of {list(table)}, got {value!r}") from None
 
 
-def _checked(name: str, fields: list):
-    """A NamedTuple base whose ``_make``, and so ``_replace``, calls the constructor."""
+def _checked(name: str, fields: list, defaults: tuple = ()):
+    """A NamedTuple base whose one constructor binds the arguments as the NamedTuple does,
+    runs the record's ``_validate()``, which raises for a broken invariant and returns the
+    fields it converts by name (or None), then refuses a float field that is not finite.
+    ``_make``, and so ``_replace``, call it."""
     base = NamedTuple(name, fields)
+    base._floats = tuple(field for field, kind in base.__annotations__.items() if kind is float)
+    floats = [(base._fields.index(field), field) for field in base._floats]
+    bind = base.__new__
+    bind.__defaults__ = defaults
+
+    @wraps(bind)
+    def __new__(cls, *args, **kwargs):
+        record = bind(cls, *args, **kwargs)
+        if converted := record._validate():
+            record = tuple.__new__(cls, map(converted.get, cls._fields, record))
+        for i, field in floats:
+            if not math.isfinite(record[i]):
+                raise InvariantViolationError(f"{field} must be finite")
+        return record
+
+    base.__new__ = __new__
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 
@@ -73,25 +93,22 @@ class ReflectionSample(_checked("ReflectionSample", [
 
     __slots__ = ()
 
-    def __new__(cls, freq_hz, incident_angle_deg, reflection_loss_db):
-        cls._check(freq_hz, incident_angle_deg, incident_angle_deg, reflection_loss_db)
-        return tuple.__new__(cls, (freq_hz, incident_angle_deg, reflection_loss_db))
-
-    @staticmethod
-    def _check(freq_hz, least_angle_deg, greatest_angle_deg, reflection_loss_db) -> None:
-        """The invariants, of one sample or of a block's least and greatest values."""
-        if not freq_hz > 0:
+    def _validate(self) -> None:
+        """The invariants, of one sample or of a block's least or greatest values."""
+        if not self.freq_hz > 0:
             raise InvariantViolationError("freq_hz must be > 0")
-        if not (0 < least_angle_deg and greatest_angle_deg < 90):
+        if not 0 < self.incident_angle_deg < 90:
             raise InvariantViolationError("incident_angle_deg must lie in (0, 90)")
-        if not reflection_loss_db >= 0:
+        if not self.reflection_loss_db >= 0:
             raise InvariantViolationError("reflection_loss_db must be >= 0")
 
     @classmethod
-    def _from_columns(cls, freq, angle, loss) -> list:
-        """The samples of a block of finite float columns, checked a column at a time."""
-        cls._check(min(freq), min(angle), max(angle), min(loss))
-        return list(map(tuple.__new__, repeat(cls), zip(freq, angle, loss)))
+    def _from_columns(cls, *columns) -> list:
+        """The samples of a block of finite float columns, checked by the block's least and
+        its greatest value per column."""
+        for bound in (min, max):
+            tuple.__new__(cls, map(bound, columns))._validate()
+        return list(map(tuple.__new__, repeat(cls), zip(*columns)))
 
 
 class PartitionRecord(_checked("PartitionRecord", [
@@ -99,29 +116,28 @@ class PartitionRecord(_checked("PartitionRecord", [
         ("rx_pol", Polarization), ("mean_loss_db", float), ("std_db", float)])):
     __slots__ = ()
 
-    def __new__(cls, freq_hz, material_name, tx_pol, rx_pol, mean_loss_db, std_db):
-        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
-        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
-        if not std_db >= 0:
+    def _validate(self) -> dict:
+        members = {"tx_pol": _member(_POLARIZATIONS, "tx_pol", self.tx_pol),
+                   "rx_pol": _member(_POLARIZATIONS, "rx_pol", self.rx_pol)}
+        if not self.std_db >= 0:
             raise InvariantViolationError("std_db must be >= 0")
-        return tuple.__new__(cls, (freq_hz, material_name, tx_pol, rx_pol, mean_loss_db, std_db))
+        return members
 
 
 class CiFitRecord(_checked("CiFitRecord", [("freq_hz", float), ("environment", Environment),
                                            ("ple", float), ("sigma_db", float)])):
     __slots__ = ()
 
-    def __new__(cls, freq_hz, environment, ple, sigma_db):
-        environment = _member(_ENVIRONMENTS, "environment", environment)
-        cls._check(ple, sigma_db)
-        return tuple.__new__(cls, (freq_hz, environment, ple, sigma_db))
+    def _validate(self) -> dict:
+        members = {"environment": _member(_ENVIRONMENTS, "environment", self.environment)}
+        self._check()
+        return members
 
-    @staticmethod
-    def _check(ple, sigma_db) -> None:
+    def _check(self) -> None:
         """The close-in model's invariants, which ``pathloss.CiModel`` shares."""
-        if not ple > 0:
+        if not self.ple > 0:
             raise InvariantViolationError("ple must be > 0")
-        if not sigma_db >= 0:
+        if not self.sigma_db >= 0:
             raise InvariantViolationError("sigma_db must be >= 0")
 
 
@@ -134,15 +150,12 @@ class PathLossSample(_checked("PathLossSample", [
 
     __slots__ = ()
 
-    def __new__(cls, freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg, tx_el_deg,
-                rx_az_deg, rx_el_deg, tx_pol, rx_pol, path_loss_db):
-        environment = _member(_MEASURED_ENVIRONMENTS, "environment", environment)
-        tx_pol = _member(_POLARIZATIONS, "tx_pol", tx_pol)
-        rx_pol = _member(_POLARIZATIONS, "rx_pol", rx_pol)
-        cls._check(freq_hz, distance_m, path_loss_db, tx_id, rx_id)
-        return tuple.__new__(cls, (freq_hz, tx_id, rx_id, distance_m, environment, tx_az_deg,
-                                   tx_el_deg, rx_az_deg, rx_el_deg, tx_pol, rx_pol,
-                                   path_loss_db))
+    def _validate(self) -> dict:
+        members = {"environment": _member(_MEASURED_ENVIRONMENTS, "environment", self.environment),
+                   "tx_pol": _member(_POLARIZATIONS, "tx_pol", self.tx_pol),
+                   "rx_pol": _member(_POLARIZATIONS, "rx_pol", self.rx_pol)}
+        self._check(self.freq_hz, self.distance_m, self.path_loss_db, self.tx_id, self.rx_id)
+        return members
 
     @staticmethod
     def _check(freq_hz, distance_m, path_loss_db, tx_id, rx_id) -> None:
@@ -352,12 +365,15 @@ def paper_dataset() -> PaperDataset:
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-# A CSV row is a record's fields in order; csv and json write an enum member
-# as its text. PATTERN_COLUMNS is ScatterPatternPoint._fields, spelled out
-# because scattering imports this module (through reflection).
+# A CSV row is a record's fields in order, its float fields the numeric columns;
+# csv and json write an enum member as its text.
 PATH_LOSS_COLUMNS = PathLossSample._fields
 REFLECTION_COLUMNS = ReflectionSample._fields
+# The pattern CSV is read as plain pairs. Its columns are ScatterPatternPoint._fields,
+# spelled out because scattering imports this module (through reflection).
 PATTERN_COLUMNS = ("observation_angle_deg", "relative_power_db")
+_PATTERN_PAIRS = SimpleNamespace(_fields=PATTERN_COLUMNS, _floats=PATTERN_COLUMNS,
+                                 _from_columns=zip)
 
 # Rows per block: several links of a directional sweep, whose repeated cells share values.
 _BLOCK_ROWS = 256
@@ -374,17 +390,19 @@ def _decoded(cells: list, where: str) -> list:
     return cells
 
 
-def _read_csv(path, columns: Sequence[str], numeric: Sequence[str], build_columns) -> list:
-    """The one CSV reader (README's "Data conventions"): ``build_columns(*cells)`` makes records
-    of the cells of ``columns``, ``numeric`` ones as finite floats. Decoding is strict; a file
-    with a byte that is not UTF-8 is read again, the byte as a surrogate, to name its row."""
+def _read_csv(path, record) -> list:
+    """The one CSV reader (README's "Data conventions"): ``record._from_columns(*cells)``
+    makes records of the cells of ``record._fields``, its ``_floats`` as finite floats.
+    Decoding is strict; a file with a byte that is not UTF-8 is read again, the byte as a
+    surrogate, to name its row."""
     try:
-        return _read_blocks(path, columns, numeric, build_columns, "strict")
+        return _read_blocks(path, record, "strict")
     except UnicodeDecodeError:
-        return _read_blocks(path, columns, numeric, build_columns, "surrogateescape")
+        return _read_blocks(path, record, "surrogateescape")
 
 
-def _read_blocks(path, columns, numeric, build_columns, errors: str) -> list:
+def _read_blocks(path, record, errors: str) -> list:
+    columns, numeric = record._fields, record._floats
     with open(path, newline="", encoding="utf-8-sig", errors=errors) as handle:
         reader = csv.reader(handle)
         header = _decoded(next(reader, []), "the header")
@@ -417,7 +435,7 @@ def _read_blocks(path, columns, numeric, build_columns, errors: str) -> list:
                 cols[picks[k]] = (list(map(dict(zip(texts, values)).__getitem__, cells))
                                   if shared else values)  # keyed by text: "-0.0" stays -0.0
             try:
-                return build_columns(*map(cols.__getitem__, picks))
+                return record._from_columns(*map(cols.__getitem__, picks))
             except InvariantViolationError as err:
                 raise InvariantViolationError(str(err), row=row) from None
 
@@ -441,9 +459,7 @@ def load_path_loss_csv(path) -> list[PathLossSample]:
 
     Errors name the first offending data row (1-based, header excluded).
     """
-    return _read_csv(path, PATH_LOSS_COLUMNS,
-                     ("freq_hz", "distance_m", "tx_az_deg", "tx_el_deg",
-                      "rx_az_deg", "rx_el_deg", "path_loss_db"), PathLossSample._from_columns)
+    return _read_csv(path, PathLossSample)
 
 
 def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
@@ -455,12 +471,12 @@ def save_path_loss_csv(samples: Iterable[PathLossSample], path) -> None:
 
 
 def load_reflection_csv(path) -> list[ReflectionSample]:
-    return _read_csv(path, REFLECTION_COLUMNS, REFLECTION_COLUMNS, ReflectionSample._from_columns)
+    return _read_csv(path, ReflectionSample)
 
 
 def load_pattern_csv(path) -> list[tuple[float, float]]:
     """(observation angle, power dB) pairs from a scatter-pattern CSV."""
-    return _read_csv(path, PATTERN_COLUMNS, PATTERN_COLUMNS, zip)
+    return _read_csv(path, _PATTERN_PAIRS)
 
 
 _DUPLICATE_KEY_FIELDS = ("tx_id", "rx_id", "tx_az_deg", "tx_el_deg",

@@ -7,6 +7,8 @@ reports the class name with the ``Error`` suffix stripped.
 
 from __future__ import annotations
 
+import math
+
 
 class MmwPropError(Exception):
     """Base class for all domain errors."""
@@ -57,6 +59,12 @@ class FlatObjectiveError(MmwPropError):
 
 class NonFiniteResultError(MmwPropError):
     """A result overflowed to infinity (or is NaN), so it cannot be printed as a number."""
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"a result is not a finite number: {value}")
+    return value
 
 
 class MissingEntryError(MmwPropError, KeyError):

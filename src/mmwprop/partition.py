@@ -50,15 +50,13 @@ class PowerBudget(_checked("PowerBudget", [
         ("absorbed_fraction", float)])):
     __slots__ = ()
 
-    def __new__(cls, reflected_fraction, transmitted_fraction, absorbed_fraction):
-        fractions = (reflected_fraction, transmitted_fraction, absorbed_fraction)
-        for name, value in zip(cls._fields, fractions):
+    def _validate(self) -> None:
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value <= 1.0:
                 raise InvariantViolationError(f"{name} must lie in [0, 1], got {value}")
-        total = reflected_fraction + transmitted_fraction + absorbed_fraction
+        total = self.reflected_fraction + self.transmitted_fraction + self.absorbed_fraction
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise InvariantViolationError(f"fractions must sum to 1, got {total}")
-        return tuple.__new__(cls, fractions)
 
 
 def power_budget(reflection_loss_db: float, partition_loss_db: float) -> PowerBudget:

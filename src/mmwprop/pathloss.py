@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveExponentError,
     TooFewSamplesError,
     UndeterminedExponentError,
+    _finite,
 )
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -46,9 +47,7 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
 class CiModel(_checked("CiModel", [("freq_hz", float), ("ple", float), ("sigma_db", float)])):
     __slots__ = ()
 
-    def __new__(cls, freq_hz, ple, sigma_db):
-        CiFitRecord._check(ple, sigma_db)
-        return tuple.__new__(cls, (freq_hz, ple, sigma_db))
+    _validate = CiFitRecord._check
 
 
 def ci_path_loss_db(model: CiModel, distance_m: float) -> float:
@@ -84,10 +83,10 @@ def fit_ci(samples: Sequence[PathLossSample], freq_hz: float) -> CiModel:
         raise NonPositiveExponentError(
             f"fitted path-loss exponent {ple:.4g} is not > 0: the losses lie at or below "
             f"the {anchor:.2f} dB free-space loss at {REFERENCE_DISTANCE_M:g} m")
-    # r * r overflows to inf, which the caller reports; float ** would raise
+    # r * r overflows to inf, reported below; float ** would raise
     residual_sq = sum(r * r for r in (y - ple * x for x, y in zip(b, a)))
     sigma = math.sqrt(residual_sq / len(samples))
-    return CiModel(freq_hz=freq_hz, ple=ple, sigma_db=sigma)
+    return CiModel(freq_hz=freq_hz, ple=_finite(ple), sigma_db=_finite(sigma))
 
 
 class DirectionalReduction(NamedTuple):

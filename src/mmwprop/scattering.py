@@ -71,7 +71,8 @@ _DB_PER_LN = 10.0 / math.log(10.0)  # 10 log10(x) = _DB_PER_LN * ln(x)
 
 
 class DsParameters(_checked("DsParameters", [("s_coeff", float), ("lambda_mix", float),
-                                             ("alpha_r", int), ("alpha_i", int)])):
+                                             ("alpha_r", int), ("alpha_i", int)],
+                            defaults=(0.4, 0.9, 4, 4))):
     """Dual-lobe directive scattering parameters.
 
     Defaults reproduce a drywall-like surface: most energy in the forward
@@ -80,16 +81,17 @@ class DsParameters(_checked("DsParameters", [("s_coeff", float), ("lambda_mix", 
 
     __slots__ = ()
 
-    def __new__(cls, s_coeff=0.4, lambda_mix=0.9, alpha_r=4, alpha_i=4):
-        if not 0.0 <= s_coeff <= 1.0:
+    def _validate(self) -> dict:
+        if not 0.0 <= self.s_coeff <= 1.0:
             raise InvariantViolationError("s_coeff must lie in [0, 1]")
-        if not 0.0 <= lambda_mix <= 1.0:
+        if not 0.0 <= self.lambda_mix <= 1.0:
             raise InvariantViolationError("lambda_mix must lie in [0, 1]")
-        for name, value in (("alpha_r", alpha_r), ("alpha_i", alpha_i)):
+        alphas = {"alpha_r": self.alpha_r, "alpha_i": self.alpha_i}
+        for name, value in alphas.items():
             if not 1 <= value <= MAX_LOBE_EXPONENT or value != int(value):
                 raise InvariantViolationError(
                     f"{name} must be an integer in [1, {MAX_LOBE_EXPONENT}]")
-        return tuple.__new__(cls, (s_coeff, lambda_mix, int(alpha_r), int(alpha_i)))
+        return {name: int(value) for name, value in alphas.items()}
 
 
 class ScatterGeometry(_checked("ScatterGeometry", [
@@ -98,15 +100,15 @@ class ScatterGeometry(_checked("ScatterGeometry", [
 
     __slots__ = ()
 
-    def __new__(cls, incident_angle_deg, observation_angles_deg):
-        if not 0.0 <= incident_angle_deg < 90.0:
+    def _validate(self) -> dict:
+        if not 0.0 <= self.incident_angle_deg < 90.0:
             raise InvariantViolationError("incident_angle_deg must lie in [0, 90)")
-        angles = tuple(map(float, observation_angles_deg))
+        angles = tuple(map(float, self.observation_angles_deg))
         if not all(abs(a) <= ARC_LIMIT_DEG + _ANGLE_TOL_DEG for a in angles):  # NaN too
             raise InvariantViolationError(
                 f"observation_angle_deg must lie within the measured arc "
                 f"[-{ARC_LIMIT_DEG:.0f}, {ARC_LIMIT_DEG:.0f}]")
-        return tuple.__new__(cls, (incident_angle_deg, angles))
+        return {"observation_angles_deg": angles}
 
 
 class ScatterPatternPoint(_checked("ScatterPatternPoint", [
@@ -115,9 +117,8 @@ class ScatterPatternPoint(_checked("ScatterPatternPoint", [
 
     __slots__ = ()
 
-    def __new__(cls, observation_angle_deg, relative_power_db):
-        cls._check((relative_power_db,))
-        return tuple.__new__(cls, (observation_angle_deg, relative_power_db))
+    def _validate(self) -> None:
+        self._check((self.relative_power_db,))
 
     @staticmethod
     def _check(levels) -> None:

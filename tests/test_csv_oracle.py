@@ -367,6 +367,32 @@ def test_columns_follow_the_sample_fields():
     assert PATTERN_COLUMNS == ScatterPatternPoint._fields
 
 
+_VALID_ROWS = {"path_loss": "142e9,tx1,rx1,4.0,NLOS,0,0,0,0,V,V,100.0",
+               "reflection": "142e9,30.0,7.5", "pattern": "30.0,-3.0"}
+
+
+@pytest.mark.parametrize("schema", SCHEMAS)
+def test_the_reader_converts_the_oracles_numeric_columns(schema, csv_path):
+    """A "nan" cell, which float() reads, is a BadNumeric in exactly the oracle's
+    numeric columns: an id keeps it as its text, and an enum refuses that text."""
+    columns, numeric, load, _ = SCHEMAS[schema]
+    converted = set()
+    for k, column in enumerate(columns):
+        cells = _VALID_ROWS[schema].split(",")
+        cells[k] = "nan"
+        csv_path.write_text(",".join(columns) + "\n" + ",".join(cells) + "\n",
+                            encoding="utf-8", newline="")
+        try:
+            (record,) = load(csv_path)
+        except BadNumericError as err:
+            converted.add(err.column)
+        except InvariantViolationError as err:
+            assert str(err).startswith(f"data row 1: {column} must be one of"), err
+        else:
+            assert record[k] == "nan", column
+    assert converted == set(numeric)
+
+
 _ID_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
                    min_size=1, max_size=6)
 _SAMPLES = st.lists(st.builds(

@@ -29,22 +29,25 @@ def test_no_module_imports_numpy():
     assert {path.name for path in modules if "numpy" in _imported_roots(path)} == set()
 
 
-def _tuple_new_references(tree, function=None):
-    """(enclosing function, line) of each ``tuple.__new__`` in the tree."""
+def _tuple_new_references(tree, scope=""):
+    """(enclosing classes and functions, dotted, line) of each ``tuple.__new__`` in the tree."""
     for node in ast.iter_child_nodes(tree):
         if (isinstance(node, ast.Attribute) and node.attr == "__new__"
                 and isinstance(node.value, ast.Name) and node.value.id == "tuple"):
-            yield function, node.lineno
-        inner = getattr(node, "name", "<lambda>") if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) else function
+            yield scope, node.lineno
+        inner = f"{scope}.{getattr(node, 'name', '<lambda>')}".lstrip(".") if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)) else scope
         yield from _tuple_new_references(node, inner)
 
 
 def test_records_are_made_only_where_they_are_checked():
-    """``tuple.__new__`` skips a record's checks, so only a record's own
-    ``__new__`` and its column builder ``_from_columns`` may call it."""
-    found = [(path.name, function, line)
+    """``tuple.__new__`` skips a record's checks, so only the one constructor that
+    ``datasets._checked`` gives every checked record, and a record's column builder
+    ``_from_columns``, may call it."""
+    found = [(path.name, scope, line)
              for path in sorted((ROOT / "src" / "mmwprop").glob("*.py"))
-             for function, line in _tuple_new_references(
+             for scope, line in _tuple_new_references(
                  ast.parse(path.read_text(encoding="utf-8")))]
-    assert {function for _, function, _ in found} == {"__new__", "_from_columns"}, found
+    constructors = [(name, scope) for name, scope, _ in found
+                    if scope.split(".")[1:] != ["_from_columns"]]
+    assert constructors == [("datasets.py", "_checked.__new__")], found

@@ -9,6 +9,7 @@ from mmwprop.errors import (
     BelowReferenceDistanceError,
     InvariantViolationError,
     MixedFrequenciesError,
+    NonFiniteResultError,
     NonPositiveExponentError,
     TooFewSamplesError,
     UndeterminedExponentError,
@@ -142,6 +143,21 @@ class TestFitCi:
         samples = [make_sample(1.0, 80.0), make_sample(1.0, 82.0)]
         with pytest.raises(AllAtReferenceDistanceError):
             fit_ci(samples, 142e9)
+
+    def test_an_overflowing_residual_is_a_non_finite_result(self):
+        """The exponent is finite, but the 1e200 dB residual squares to inf."""
+        samples = [make_sample(2.0, 1e200), make_sample(4.0, 90.0, rx_id="rx2")]
+        with pytest.raises(NonFiniteResultError) as info:
+            fit_ci(samples, 142e9)
+        assert str(info.value) == "a result is not a finite number: inf"
+
+    def test_an_overflowing_exponent_is_named_before_sigma(self):
+        """sum(a * b) overflows, so the exponent is inf; the 1 m sample's residual is
+        then a - inf * 0, so sigma is nan, and the exponent is the one named."""
+        samples = [make_sample(1.0, 80.0), make_sample(2.0, 1e308, rx_id="rx2")]
+        with pytest.raises(NonFiniteResultError) as info:
+            fit_ci(samples, 142e9)
+        assert str(info.value) == "a result is not a finite number: inf"
 
     @pytest.mark.parametrize("far_m, refused", [
         (1.0000000001, True), (1.25, True), (1.26, False), (1.5, False)])

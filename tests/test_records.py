@@ -238,6 +238,60 @@ INVARIANTS = [
     (lambda: ScatterPatternPoint(0.0, math.nan), "relative_power_db must be finite"),
     (lambda: ScatterPatternPoint(0.0, -math.inf), "relative_power_db must be finite"),
     (lambda: ScatterPatternPoint(0.0, math.inf), "relative_power_db must be finite"),
+    # every float field is finite: an infinite and a NaN row per field, where the record's
+    # own check, which runs first, names some of them
+    (lambda: ReflectionSample(math.inf, 30.0, 1.0), "freq_hz must be finite"),
+    (lambda: ReflectionSample(math.nan, 30.0, 1.0), "freq_hz must be > 0"),
+    (lambda: ReflectionSample(28e9, math.inf, 1.0), "incident_angle_deg must lie in (0, 90)"),
+    (lambda: ReflectionSample(28e9, math.nan, 1.0), "incident_angle_deg must lie in (0, 90)"),
+    (lambda: ReflectionSample(28e9, 30.0, math.inf), "reflection_loss_db must be finite"),
+    (lambda: ReflectionSample(28e9, 30.0, math.nan), "reflection_loss_db must be >= 0"),
+    (lambda: PartitionRecord(math.inf, "glass", V, V, 1.0, 0.1), "freq_hz must be finite"),
+    (lambda: PartitionRecord(math.nan, "glass", V, V, 1.0, 0.1), "freq_hz must be finite"),
+    (lambda: PartitionRecord(28e9, "glass", V, V, math.inf, 0.1), "mean_loss_db must be finite"),
+    (lambda: PartitionRecord(28e9, "glass", V, V, math.nan, 0.1), "mean_loss_db must be finite"),
+    (lambda: PartitionRecord(28e9, "glass", V, V, 1.0, math.inf), "std_db must be finite"),
+    (lambda: PartitionRecord(28e9, "glass", V, V, 1.0, math.nan), "std_db must be >= 0"),
+    (lambda: CiFitRecord(math.inf, "LOS", 1.0, 1.0), "freq_hz must be finite"),
+    (lambda: CiFitRecord(math.nan, "LOS", 1.0, 1.0), "freq_hz must be finite"),
+    (lambda: CiFitRecord(28e9, "LOS", math.inf, 1.0), "ple must be finite"),
+    (lambda: CiFitRecord(28e9, "LOS", math.nan, 1.0), "ple must be > 0"),
+    (lambda: CiFitRecord(28e9, "LOS", 1.0, math.inf), "sigma_db must be finite"),
+    (lambda: CiFitRecord(28e9, "LOS", 1.0, math.nan), "sigma_db must be >= 0"),
+    (_sample(freq_hz=math.inf), "freq_hz must be finite"),
+    (_sample(distance_m=math.inf), "distance_m must be finite"),
+    (_sample(distance_m=math.nan), "distance_m must be >= 1 (close-in reference distance)"),
+    (_sample(tx_az_deg=math.inf), "tx_az_deg must be finite"),
+    (_sample(tx_az_deg=math.nan), "tx_az_deg must be finite"),
+    (_sample(tx_el_deg=math.inf), "tx_el_deg must be finite"),
+    (_sample(tx_el_deg=math.nan), "tx_el_deg must be finite"),
+    (_sample(rx_az_deg=math.inf), "rx_az_deg must be finite"),
+    (_sample(rx_az_deg=math.nan), "rx_az_deg must be finite"),
+    (_sample(rx_el_deg=math.inf), "rx_el_deg must be finite"),
+    (_sample(rx_el_deg=math.nan), "rx_el_deg must be finite"),
+    (_sample(path_loss_db=math.inf), "path_loss_db must be finite"),
+    (_sample(path_loss_db=math.nan), "path_loss_db must be > 0"),
+    (lambda: CiModel(math.inf, 2.0, 1.0), "freq_hz must be finite"),
+    (lambda: CiModel(math.nan, 2.0, 1.0), "freq_hz must be finite"),
+    (lambda: CiModel(28e9, math.inf, 1.0), "ple must be finite"),
+    (lambda: CiModel(28e9, math.nan, 1.0), "ple must be > 0"),
+    (lambda: CiModel(28e9, 2.0, math.inf), "sigma_db must be finite"),
+    (lambda: CiModel(28e9, 2.0, math.nan), "sigma_db must be >= 0"),
+    (lambda: PowerBudget(math.inf, 0.5, 0.5), "reflected_fraction must lie in [0, 1], got inf"),
+    (lambda: PowerBudget(math.nan, 0.5, 0.5), "reflected_fraction must lie in [0, 1], got nan"),
+    (lambda: PowerBudget(0.5, math.inf, 0.5),
+     "transmitted_fraction must lie in [0, 1], got inf"),
+    (lambda: PowerBudget(0.5, math.nan, 0.5),
+     "transmitted_fraction must lie in [0, 1], got nan"),
+    (lambda: PowerBudget(0.5, 0.5, math.inf), "absorbed_fraction must lie in [0, 1], got inf"),
+    (lambda: DsParameters(s_coeff=math.inf), "s_coeff must lie in [0, 1]"),
+    (lambda: DsParameters(s_coeff=math.nan), "s_coeff must lie in [0, 1]"),
+    (lambda: DsParameters(lambda_mix=math.inf), "lambda_mix must lie in [0, 1]"),
+    (lambda: DsParameters(lambda_mix=math.nan), "lambda_mix must lie in [0, 1]"),
+    (lambda: ScatterGeometry(math.inf, (30.0,)), "incident_angle_deg must lie in [0, 90)"),
+    (lambda: ScatterGeometry(math.nan, (30.0,)), "incident_angle_deg must lie in [0, 90)"),
+    (lambda: ScatterPatternPoint(math.inf, -1.0), "observation_angle_deg must be finite"),
+    (lambda: ScatterPatternPoint(math.nan, -1.0), "observation_angle_deg must be finite"),
 ]
 
 
@@ -249,8 +303,9 @@ def test_invariant_message(build, message):
     assert info.value.row is None
 
 
-# The records with a constructor of their own, which checks the fields.
-CHECKED = [cls for cls in RECORDS if cls.__new__.__module__ == cls.__module__]
+# The records built on datasets._checked, whose one constructor checks the fields.
+_CHECKED_NEW = datasets._checked("Any", []).__new__.__code__
+CHECKED = [cls for cls in RECORDS if cls.__new__.__code__ is _CHECKED_NEW]
 
 
 class _Built(Exception):
