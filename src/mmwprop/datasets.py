@@ -61,10 +61,20 @@ def _member(table: dict, name: str, value):
             f"{name} must be one of {list(table)}, got {value!r}") from None
 
 
+def _text(name: str, value) -> None:
+    """Refuses a ``value`` that is not a non-empty str."""
+    if type(value) is not str:
+        raise InvariantViolationError(f"{name} must be a str, got {type(value).__name__}")
+    if not value:
+        raise InvariantViolationError(f"{name} must not be empty")
+
+
 def _checked(name: str, fields: list, defaults: tuple = ()):
     """A NamedTuple base whose one constructor binds the arguments as the NamedTuple does,
     runs the record's ``_validate()``, which raises for a broken invariant and returns the
     fields it converts by name (or None), then refuses a float field that is not finite.
+    A float field that is not a finite real number, met by either check, fails as an
+    invariant that names the first such field.
     ``_make``, and so ``_replace``, call it."""
     base = NamedTuple(name, fields)
     base._floats = tuple(field for field, kind in base.__annotations__.items() if kind is float)
@@ -75,11 +85,19 @@ def _checked(name: str, fields: list, defaults: tuple = ()):
     @wraps(bind)
     def __new__(cls, *args, **kwargs):
         record = bind(cls, *args, **kwargs)
-        if converted := record._validate():
-            record = tuple.__new__(cls, map(converted.get, cls._fields, record))
-        for i, field in floats:
-            if not math.isfinite(record[i]):
-                raise InvariantViolationError(f"{field} must be finite")
+        try:
+            if converted := record._validate():
+                record = tuple.__new__(cls, map(converted.get, cls._fields, record))
+            for i, field in floats:
+                if not math.isfinite(record[i]):
+                    raise InvariantViolationError(f"{field} must be finite")
+        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
+            for i, field in floats:
+                try:
+                    math.isfinite(record[i])
+                except (TypeError, OverflowError):
+                    raise InvariantViolationError(f"{field} must be a finite real number") from None
+            raise  # not a float field's value
         return record
 
     base.__new__ = __new__
@@ -119,6 +137,9 @@ class PartitionRecord(_checked("PartitionRecord", [
     def _validate(self) -> dict:
         members = {"tx_pol": _member(_POLARIZATIONS, "tx_pol", self.tx_pol),
                    "rx_pol": _member(_POLARIZATIONS, "rx_pol", self.rx_pol)}
+        if self.freq_hz <= 0:  # NaN is refused as not finite
+            raise InvariantViolationError("freq_hz must be > 0")
+        _text("material_name", self.material_name)
         if not self.std_db >= 0:
             raise InvariantViolationError("std_db must be >= 0")
         return members
@@ -135,6 +156,8 @@ class CiFitRecord(_checked("CiFitRecord", [("freq_hz", float), ("environment", E
 
     def _check(self) -> None:
         """The close-in model's invariants, which ``pathloss.CiModel`` shares."""
+        if self.freq_hz <= 0:  # NaN is refused as not finite
+            raise InvariantViolationError("freq_hz must be > 0")
         if not self.ple > 0:
             raise InvariantViolationError("ple must be > 0")
         if not self.sigma_db >= 0:
@@ -166,11 +189,8 @@ class PathLossSample(_checked("PathLossSample", [
             raise InvariantViolationError("distance_m must be >= 1 (close-in reference distance)")
         if not path_loss_db > 0:
             raise InvariantViolationError("path_loss_db must be > 0")
-        for name, value in (("tx_id", tx_id), ("rx_id", rx_id)):
-            if type(value) is not str:
-                raise InvariantViolationError(f"{name} must be a str, got {type(value).__name__}")
-            if not value:
-                raise InvariantViolationError(f"{name} must not be empty")
+        _text("tx_id", tx_id)
+        _text("rx_id", rx_id)
 
     @classmethod
     def _from_columns(cls, *columns) -> list:

@@ -80,14 +80,18 @@ def _sample_terms(samples: Sequence[ReflectionSample]) -> list[tuple[float, floa
 def _mse(eps_r: float, terms: Sequence[tuple[float, float, float]]) -> float:
     """Mean squared |gamma_perp|^2 error at eps_r over _sample_terms.
 
-    Samples are summed in order, so this gives the same bits as squaring
-    fresnel_gamma_perp sample by sample.
+    gamma is fresnel_gamma_perp's bits. Each square is a product, which is
+    correctly rounded where ``x ** 2`` goes through the C library's pow, and
+    the samples are summed in order, so from the terms on the result depends
+    on neither the Python version nor the C library.
     """
+    sqrt = math.sqrt
     total = 0.0
     for measured, cos_t, sin2 in terms:
-        root = math.sqrt(eps_r - sin2)
+        root = sqrt(eps_r - sin2)
         gamma = (cos_t - root) / (cos_t + root)
-        total += (measured - gamma ** 2) ** 2
+        error = measured - gamma * gamma
+        total += error * error
     return total / len(terms)
 
 

@@ -188,6 +188,11 @@ INVARIANTS = [
      f"environment must be one of {_ENVS}, got 'MOON'"),
     (lambda: CiFitRecord(28e9, "LOS", 0.0, 1.0), "ple must be > 0"),
     (lambda: CiFitRecord(28e9, "LOS", 1.0, -1.0), "sigma_db must be >= 0"),
+    (lambda: CiFitRecord(-1.0, "LOS", 2.0, 1.0), "freq_hz must be > 0"),
+    (lambda: PartitionRecord(-28e9, None, "V", "V", -3.0, 0.1), "freq_hz must be > 0"),
+    (lambda: PartitionRecord(28e9, None, V, V, 1.0, 0.1),
+     "material_name must be a str, got NoneType"),
+    (lambda: PartitionRecord(28e9, "", V, V, 1.0, 0.1), "material_name must not be empty"),
     (_sample(environment="MOON"), f"environment must be one of {_MEASURED}, got 'MOON'"),
     (_sample(environment="los"), f"environment must be one of {_MEASURED}, got 'los'"),
     (_sample(environment=None), f"environment must be one of {_MEASURED}, got None"),
@@ -222,6 +227,7 @@ INVARIANTS = [
     # pathloss
     (lambda: CiModel(28e9, 0.0, 1.0), "ple must be > 0"),
     (lambda: CiModel(28e9, 2.0, -1.0), "sigma_db must be >= 0"),
+    (lambda: CiModel(0.0, 2.0, 1.0), "freq_hz must be > 0"),
     # scattering
     (lambda: DsParameters(s_coeff=1.5), "s_coeff must lie in [0, 1]"),
     (lambda: DsParameters(lambda_mix=-0.1), "lambda_mix must lie in [0, 1]"),
@@ -292,6 +298,20 @@ INVARIANTS = [
     (lambda: ScatterGeometry(math.nan, (30.0,)), "incident_angle_deg must lie in [0, 90)"),
     (lambda: ScatterPatternPoint(math.inf, -1.0), "observation_angle_deg must be finite"),
     (lambda: ScatterPatternPoint(math.nan, -1.0), "observation_angle_deg must be finite"),
+    # a float field that is not a finite real number, met by the record's own check or by
+    # the finiteness check; the first such field is named
+    (lambda: ReflectionSample(73e9, 30.0, "4"), "reflection_loss_db must be a finite real number"),
+    (lambda: PartitionRecord(28e9, "g", "V", "V", "x", 0.1),
+     "mean_loss_db must be a finite real number"),
+    (lambda: PartitionRecord(28e9, "g", V, V, "x", "y"),
+     "mean_loss_db must be a finite real number"),
+    (lambda: CiFitRecord(10**400, "LOS", 1.0, 1.0), "freq_hz must be a finite real number"),
+    (_sample(distance_m="5"), "distance_m must be a finite real number"),
+    (lambda: CiModel(73e9, 10**400, 1.0), "ple must be a finite real number"),
+    (lambda: PowerBudget(0.5, 0.5, 1j), "absorbed_fraction must be a finite real number"),
+    (lambda: DsParameters(s_coeff="0.4"), "s_coeff must be a finite real number"),
+    (lambda: ScatterGeometry("30", (30.0,)), "incident_angle_deg must be a finite real number"),
+    (lambda: ScatterPatternPoint(None, -1.0), "observation_angle_deg must be a finite real number"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -149,11 +150,23 @@ class TestMmseEstimator:
         assert round(estimate.eps_r, 4) == 1.0003
 
     def test_objective_matches_fresnel_per_sample(self):
+        # left to right: sum() is compensated from Python 3.12
         samples = synthetic_samples(5.2)
-        expected = sum((10.0 ** (-s.reflection_loss_db / 10.0)
-                        - fresnel_gamma_perp(s.incident_angle_deg, 6.0) ** 2) ** 2
-                       for s in samples) / len(samples)
-        assert _mse(6.0, _sample_terms(samples)) == expected
+        total = 0.0
+        for s in samples:
+            gamma = fresnel_gamma_perp(s.incident_angle_deg, 6.0)
+            error = 10.0 ** (-s.reflection_loss_db / 10.0) - gamma * gamma
+            total += error * error
+        assert _mse(6.0, _sample_terms(samples)) == total / len(samples)
+
+    def test_objective_squares_are_correctly_rounded(self):
+        """An example from glibc's pow, which rounds this sample's gamma ** 2
+        off by an ulp: with glibc 2.36 the objective is 0x1.d1b87ee29aa18p-5,
+        and was ...aa1ap-5 when it squared with ``** 2``."""
+        gamma = fresnel_gamma_perp(30.0, 4.3254)
+        error = 10.0 ** (-4.0 / 10.0) - float(Fraction(gamma) ** 2)
+        expected = float(Fraction(error) ** 2)  # the mean of one sample
+        assert _mse(4.3254, _sample_terms([ReflectionSample(73e9, 30.0, 4.0)])) == expected
 
     def test_objective_beats_uniform_grid(self):
         # oracle cross-check: no point of a 1000-point grid does better
